@@ -5,8 +5,10 @@
 // answers (open loop — the arrival schedule never backs off, so queueing
 // and shedding behaviour is visible instead of being hidden by a closed
 // loop's self-throttling).  Each level reports completed/shed counts, the
-// achieved completion rate, and end-to-end latency percentiles measured
-// from socket write to terminal (`done`/`error`) line.
+// achieved completion rate (completions over the offered window), and
+// end-to-end latency percentiles measured from each request's due slot to
+// its terminal (`done`/`error`) line, so a sender running late counts
+// against the server rather than hiding the delay.
 //
 // Runs standalone with no arguments; scale comes from the environment:
 //
@@ -115,7 +117,7 @@ struct LevelResult {
 
 /// One paced connection: a sender thread writes query lines on an absolute
 /// schedule (never waiting for responses); a reader thread drains the
-/// response stream, timing each id from its send to its terminal line.
+/// response stream, timing each id from its due slot to its terminal line.
 class LoadConnection {
  public:
   LoadConnection(std::uint16_t port, std::string idPrefix, double qps,
@@ -128,7 +130,11 @@ class LoadConnection {
     dsud::setSocketTimeouts(sock_, std::chrono::milliseconds{30'000});
   }
 
-  void start() {
+  /// Starts sending at `t0 + phase`, then every 1/qps until `t0 + seconds`
+  /// (the window every connection shares).
+  void start(Clock::time_point t0, double phase) {
+    t0_ = t0;
+    phase_ = phase;
     sender_ = std::thread([this] { sendLoop(); });
     reader_ = std::thread([this] { readLoop(); });
   }
@@ -157,9 +163,8 @@ class LoadConnection {
   }
 
   void sendLoop() {
-    const auto t0 = Clock::now();
     const auto interval = std::chrono::duration<double>(1.0 / qps_);
-    const auto end = t0 + std::chrono::duration<double>(seconds_);
+    const auto end = t0_ + std::chrono::duration<double>(seconds_);
     std::uint64_t i = 0;
     char q[32];
     std::snprintf(q, sizeof q, "%.3f", q_);
@@ -167,13 +172,14 @@ class LoadConnection {
       // Open loop: each request has an absolute slot; a slow server makes
       // requests pile up rather than slowing the arrival process down.
       const auto slot =
-          t0 + std::chrono::duration_cast<Clock::duration>(interval * i);
+          t0_ + std::chrono::duration_cast<Clock::duration>(
+                    interval * (static_cast<double>(i) + phase_ * qps_));
       if (slot >= end) break;
       std::this_thread::sleep_until(slot);
       const std::string id = idPrefix_ + std::to_string(i);
       {
         std::lock_guard lock(mutex_);
-        sendTimes_[id] = Clock::now();
+        sendTimes_[id] = slot;
       }
       sendLine(R"({"op":"query","id":")" + id + R"(","q":)" + q +
                R"(,"progressive":false})");
@@ -240,6 +246,8 @@ class LoadConnection {
   const double qps_;
   const double seconds_;
   const double q_;
+  Clock::time_point t0_;
+  double phase_ = 0.0;  ///< seconds after t0_ of the first slot
 
   std::mutex mutex_;
   std::map<std::string, Clock::time_point> sendTimes_;
@@ -270,10 +278,14 @@ LevelResult runLevel(std::uint16_t port, const LoadScale& scale, double qps) {
     conns.push_back(std::make_unique<LoadConnection>(
         port, "c" + std::to_string(c) + "-", perConn, scale.seconds, scale.q));
   }
+  // Stagger the connections' first slots evenly over one aggregate
+  // interval, so the offered stream is evenly spaced instead of firing one
+  // request per connection at once.
   const auto t0 = Clock::now();
-  for (auto& conn : conns) conn->start();
+  for (std::size_t c = 0; c < conns.size(); ++c) {
+    conns[c]->start(t0, static_cast<double>(c) / qps);
+  }
   for (auto& conn : conns) conn->join();
-  const double elapsed = std::chrono::duration<double>(Clock::now() - t0).count();
 
   LevelResult r;
   r.offeredQps = qps;
@@ -287,7 +299,7 @@ LevelResult runLevel(std::uint16_t port, const LoadScale& scale, double qps) {
                      conn->latenciesMs().end());
   }
   std::sort(latencies.begin(), latencies.end());
-  r.achievedQps = static_cast<double>(r.completed) / elapsed;
+  r.achievedQps = static_cast<double>(r.completed) / scale.seconds;
   r.p50Ms = percentile(latencies, 0.50);
   r.p95Ms = percentile(latencies, 0.95);
   r.p99Ms = percentile(latencies, 0.99);

@@ -1,12 +1,12 @@
 // Tracing overhead (acceptance gate for the cross-site tracing work): wall
 // time of the fig09-style workload with tracing fully off, with the default
-// coordinator-only trace, and with each site-trace shipping mode.  The
-// "off" and "coord" columns must stay within noise of each other — the
-// disabled path is one branch per protocol step — while "piggyback" and
-// "fetch" show the real cost of recording and shipping site spans.
+// coordinator-only trace, and with site tracing (spans fetched per site at
+// finish time).  The "off" and "coord" columns must stay within noise of
+// each other — the disabled path is one branch per protocol step — while
+// "fetch" shows the real cost of recording and shipping site spans.
 //
-// Columns are mean seconds per query; "spans" is the merged span count of
-// the last piggyback run (0 until site tracing is on).
+// Columns are mean milliseconds per query; "spans" is the span count of the
+// mode's last run (the merged timeline once site tracing is on).
 //
 // A second panel measures the structured event log and flight recorder the
 // same way: "silent" raises the level gate so every emit is one atomic
@@ -26,14 +26,13 @@ using namespace dsud::bench;
 struct Mode {
   const char* label;
   std::size_t traceCapacity;
-  SiteTraceMode siteTrace;
+  bool siteTrace;
 };
 
 constexpr Mode kModes[] = {
-    {"off", 0, SiteTraceMode::kOff},
-    {"coord", 65536, SiteTraceMode::kOff},
-    {"piggyback", 65536, SiteTraceMode::kPiggyback},
-    {"fetch", 65536, SiteTraceMode::kFetch},
+    {"off", 0, false},
+    {"coord", 65536, false},
+    {"fetch", 65536, true},
 };
 
 double meanSeconds(const Dataset& global, std::size_t m, std::size_t repeats,

@@ -28,7 +28,6 @@ struct LowerLocalProb {
 QueryResult QueryEngine::dsudImpl(const QueryConfig& config,
                                   const QueryOptions& options, QueryId id) {
   internal::QueryRun run(*coord_, "dsud", options, id);
-  QueryStats& stats = run.result.stats;
   const DimMask mask = config.effectiveMask(coord_->dims());
   const PrepareRequest prep{run.id, config.q, mask, config.prune,
                             config.window};
@@ -39,7 +38,7 @@ QueryResult QueryEngine::dsudImpl(const QueryConfig& config,
     obs::TraceSpan prepare = run.span("prepare");
     run.prepareAll(prep);
     for (const auto& s : run.sessions) {
-      if (auto c = run.pull(s->siteId(), cursor, stats)) {
+      if (auto c = run.pull(s->siteId(), cursor)) {
         queue.push(std::move(*c));
       }
     }
@@ -69,7 +68,7 @@ QueryResult QueryEngine::dsudImpl(const QueryConfig& config,
     }
     if (globalSkyProb >= config.q) run.emit(c, globalSkyProb);
 
-    if (auto next = run.pull(c.site, cursor, stats)) {
+    if (auto next = run.pull(c.site, cursor)) {
       queue.push(std::move(*next));
     }
   }

@@ -27,7 +27,6 @@ namespace dsud {
 QueryResult QueryEngine::edsudImpl(const QueryConfig& config,
                                    const QueryOptions& options, QueryId id) {
   internal::QueryRun run(*coord_, "edsud", options, id);
-  QueryStats& stats = run.result.stats;
   const DimMask mask = config.effectiveMask(coord_->dims());
   const PrepareRequest prep{run.id, config.q, mask, config.prune,
                             config.window};
@@ -35,7 +34,7 @@ QueryResult QueryEngine::edsudImpl(const QueryConfig& config,
 
   internal::BoundQueue queue(mask, config.bound);
   const auto pullFrom = [&](SiteId site) {
-    if (auto next = run.pull(site, cursor, stats)) {
+    if (auto next = run.pull(site, cursor)) {
       queue.add(std::move(*next));
     }
   };
@@ -46,7 +45,7 @@ QueryResult QueryEngine::edsudImpl(const QueryConfig& config,
       span.attr("site", victim.site);
       span.attr("tuple", static_cast<double>(victim.tuple.id));
     }
-    run.countExpunge(stats);
+    ++run.result.stats.expunged;
     pullFrom(victim.site);
   };
 

@@ -94,7 +94,6 @@ PrepareResponse LocalSite::prepare(const PrepareRequest& request) {
   session.window = request.window;
   if (request.traceCapacity > 0) {
     session.tracer = std::make_unique<obs::Tracer>(request.traceCapacity);
-    session.piggyback = request.tracePiggyback;
   }
 
   const std::uint64_t nodesBefore = tree_.nodeAccesses();
@@ -267,15 +266,6 @@ FetchTraceResponse LocalSite::fetchTrace(
     response.trace = it->second.tracer->snapshot();
   }
   return response;
-}
-
-std::optional<obs::QueryTrace> LocalSite::takePiggybackDelta(QueryId query) {
-  std::lock_guard lock(mutex_);
-  const auto it = sessions_.find(query);
-  if (it == sessions_.end() || !it->second.tracer || !it->second.piggyback) {
-    return std::nullopt;
-  }
-  return it->second.tracer->take();
 }
 
 std::size_t LocalSite::pendingCount(QueryId query) const {
@@ -504,22 +494,6 @@ void LocalSite::replicaRemove(const ReplicaRemoveRequest& request) {
 // ---------------------------------------------------------------------------
 // SiteServer dispatch
 
-namespace {
-
-/// Encodes a query response plus, when the session piggybacks, the trailer
-/// carrying the spans it recorded while serving this request.
-template <typename Msg>
-Frame toTracedResponseFrame(LocalSite& site, QueryId query, const Msg& msg) {
-  ByteWriter w;
-  msg.encode(w);
-  if (auto delta = site.takePiggybackDelta(query)) {
-    encodeTraceBlock(w, *delta);
-  }
-  return std::move(w).take();
-}
-
-}  // namespace
-
 Frame SiteServer::handle(const Frame& request) {
   ByteReader r(request);
   const MsgType type = frameType(r);
@@ -527,18 +501,17 @@ Frame SiteServer::handle(const Frame& request) {
     case MsgType::kPrepare: {
       const auto msg = PrepareRequest::decode(r);
       r.expectEnd();
-      return toTracedResponseFrame(*site_, msg.query, site_->prepare(msg));
+      return toResponseFrame(site_->prepare(msg));
     }
     case MsgType::kNextCandidate: {
       const auto msg = NextCandidateRequest::decode(r);
       r.expectEnd();
-      return toTracedResponseFrame(*site_, msg.query,
-                                   site_->nextCandidate(msg));
+      return toResponseFrame(site_->nextCandidate(msg));
     }
     case MsgType::kEvaluate: {
       const auto msg = EvaluateRequest::decode(r);
       r.expectEnd();
-      return toTracedResponseFrame(*site_, msg.query, site_->evaluate(msg));
+      return toResponseFrame(site_->evaluate(msg));
     }
     case MsgType::kFetchTrace: {
       const auto msg = FetchTraceRequest::decode(r);

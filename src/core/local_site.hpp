@@ -99,11 +99,6 @@ class LocalSite {
   /// idempotent; spans are released by finishQuery with the session.
   FetchTraceResponse fetchTrace(const FetchTraceRequest& request) const;
 
-  /// Moves the spans recorded since the last call out of `query`'s session
-  /// tracer — the piggyback trailer SiteServer appends to query responses.
-  /// nullopt when the session doesn't exist or doesn't piggyback.
-  std::optional<obs::QueryTrace> takePiggybackDelta(QueryId query);
-
   // --- Elastic membership (online join / leave) ----------------------------
 
   /// Appends one ordered batch to the staging dataset.  Replay-protected by
@@ -190,9 +185,8 @@ class LocalSite {
     std::uint64_t lastEvalSeq = 0;       // replay cache: kEvaluate
     EvaluateResponse lastEval;
     /// Session span timeline (null when the query doesn't trace).  Spans
-    /// are flat (no nesting) so piggyback deltas need no id translation.
+    /// are flat (no nesting); the coordinator nests them at merge time.
     std::unique_ptr<obs::Tracer> tracer;
-    bool piggyback = false;  // ship spans as response trailers vs kFetchTrace
   };
 
   // Maintenance-tracer helpers (no-ops when setMaintenanceTrace is off).

@@ -20,31 +20,32 @@ QueryResult QueryEngine::naiveImpl(const QueryConfig& config,
   std::unordered_map<TupleId, SiteId> origin;
   {
     obs::TraceSpan collect = run.span("ship_all");
-    for (const auto& s : run.sessions) {
+    for (std::size_t i = 0; i < run.sessions.size(); ++i) {
+      SiteHandle& s = *run.sessions[i];
       run.throwIfCancelled();  // no rounds here; check per site instead
       obs::TraceSpan pull = run.span("pull");
-      pull.attr("site", s->siteId());
+      pull.attr("site", s.siteId());
       ShipAllResponse shipment;
       try {
-        shipment = s->shipAll();
+        shipment = s.shipAll();
       } catch (const NetError&) {
         if (!run.degradeOk()) throw;
-        run.markDead(s->siteId());
+        run.markDead(s.siteId());
         continue;
       }
+      run.annotateRetries(pull, i);
+      run.recordPull(i, shipment.tuples.size());
       pull.attr("tuples", static_cast<double>(shipment.tuples.size()));
       origin.reserve(origin.size() + shipment.tuples.size());
       for (const Tuple& t : shipment.tuples) {
         unified.add(t);
-        origin.emplace(t.id, s->siteId());
+        origin.emplace(t.id, s.siteId());
       }
     }
     if (run.dead.size() == run.sessions.size()) {
       throw NetError("runNaive: all sites unavailable");
     }
   }
-  run.result.stats.candidatesPulled = unified.size();
-  if (run.pulls != nullptr) run.pulls->add(unified.size());
 
   // Centralised answer, reported progressively in BBS order.
   obs::TraceSpan answer = run.span("central_bbs");

@@ -102,7 +102,6 @@ void PrepareRequest::encode(ByteWriter& w) const {
   w.putU8(static_cast<std::uint8_t>(prune));
   encodeOptionalRect(w, window);
   w.putU32(traceCapacity);
-  w.putBool(tracePiggyback);
 }
 
 PrepareRequest PrepareRequest::decode(ByteReader& r) {
@@ -113,7 +112,6 @@ PrepareRequest PrepareRequest::decode(ByteReader& r) {
   msg.prune = static_cast<PruneRule>(r.getU8());
   msg.window = decodeOptionalRect(r);
   msg.traceCapacity = r.getU32();
-  msg.tracePiggyback = r.getBool();
   return msg;
 }
 

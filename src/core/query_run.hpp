@@ -1,18 +1,23 @@
 // Internal per-query session state shared by the algorithm implementations.
 //
 // One QueryRun is one session: it owns everything that was once
-// coordinator-global — the monotonic clock, the bandwidth scope, the
+// coordinator-global — the monotonic clock, the bandwidth scopes, the
 // protocol timeline, the progress callback, the broadcast workers, and the
 // per-query site views — so N runs execute concurrently over one cluster
 // without sharing mutable state.  Construction opens the session (per-query
 // SiteHandle views, in-flight gauge); finalize() (or unwinding) releases the
 // site-side state with kFinishQuery.  Not part of the public API.
+//
+// Accounting has one home: the per-site ledger rows (the SiteProfile rows
+// QueryResult::profile carries).  The algorithms record pulls, candidates,
+// Local-Pruning victims and retries there as they happen; closeLedger()
+// then derives QueryStats' site totals, the per-algorithm counters and the
+// query.done fields from the rows, once per run.
 #pragma once
 
 #include <algorithm>
 #include <exception>
-#include <filesystem>
-#include <fstream>
+#include <future>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -25,7 +30,6 @@
 #include "common/thread_pool.hpp"
 #include "core/coordinator.hpp"
 #include "core/failover.hpp"
-#include "obs/export.hpp"
 #include "obs/log.hpp"
 #include "obs/merge.hpp"
 #include "obs/recorder.hpp"
@@ -39,22 +43,10 @@ struct QueryRun {
   QueryOptions options;  ///< immutable for the run
   QueryResult result;
   /// Per-chain bandwidth scopes, parallel to `sessions`: each chain's RPC
-  /// traffic lands in its own QueryUsage (sums into the meter too) so the
-  /// EXPLAIN profile can attribute bytes and tuples per site.  Aggregate
-  /// stats are the sum over chains — integer sums, so bit-identical to the
-  /// former single-scope accounting.
+  /// traffic lands in its own QueryUsage (sums into the meter too).  The
+  /// transport writes them, possibly from broadcast workers; closeLedger()
+  /// copies them into the ledger rows.
   std::vector<std::unique_ptr<QueryUsage>> siteUsage;
-  /// Coordinator-thread tallies, parallel to `sessions` (the pooled
-  /// broadcast path drains its futures on this thread, so plain integers
-  /// suffice): To-Server pulls, candidates returned, Local-Pruning victims,
-  /// retried transport attempts.
-  struct SiteTally {
-    std::uint64_t rounds = 0;
-    std::uint64_t candidates = 0;
-    std::uint64_t pruned = 0;
-    std::uint64_t retries = 0;
-  };
-  std::vector<SiteTally> tallies;
   Stopwatch watch;   ///< session-owned monotonic clock
   double prepareDoneSeconds = 0.0;  ///< stamp at end of prepareAll
   obs::Tracer tracer;
@@ -65,14 +57,12 @@ struct QueryRun {
   std::shared_ptr<const ClusterView> view;
   /// Per-query views of the pinned partitions (one per chain; replicated
   /// partitions get a FailoverSiteHandle over all their stores); all session
-  /// traffic flows through these so it lands in `usage`.
+  /// traffic flows through these so it lands in `siteUsage`.
   std::vector<std::unique_ptr<SiteHandle>> sessions;
   /// Site-side span timelines, parallel to `sessions` (empty when site
-  /// tracing is off).  Piggyback mode streams into these via the handles'
-  /// trace sinks; fetch mode fills them at finish() time.  Addresses must
-  /// stay stable — sized once in the constructor, never resized.
+  /// tracing is off), filled by one kFetchTrace per site at finish() time.
   std::vector<obs::QueryTrace> siteTraces;
-  const char* algo;  ///< instrument label; also names slow-query dumps
+  const char* algo;  ///< instrument label and root span name
   /// Session-private broadcast workers (never the engine's submit pool, so
   /// submitted queries cannot starve each other).
   std::unique_ptr<ThreadPool> broadcastPool;
@@ -81,6 +71,7 @@ struct QueryRun {
   /// (QueryOptions::fault.onSiteFailure == kDegrade only; under kFail the
   /// first SiteFailure aborts the query instead).  Order = detection order.
   std::vector<SiteId> dead;
+  bool ledgerClosed = false;  ///< closeLedger() ran (finalize or unwind)
 
   // Cached instruments (null when the coordinator has no registry).
   obs::Counter* queries = nullptr;
@@ -126,18 +117,14 @@ struct QueryRun {
             chain.partition, std::move(replicas), c.metrics()));
       }
     }
-    tallies.resize(sessions.size());
-    // Site tracing needs a coordinator trace to merge into; piggybacked
-    // spans stream into per-site sinks while the query runs, fetched spans
-    // arrive in one kFetchTrace per site at finish() time.
-    if (options.traceCapacity > 0 &&
-        options.siteTrace != SiteTraceMode::kOff) {
+    // The ledger: one row per chain, parallel to `sessions`.
+    result.profile.sites.resize(sessions.size());
+    for (std::size_t i = 0; i < sessions.size(); ++i) {
+      result.profile.sites[i].site = sessions[i]->siteId();
+    }
+    // Site tracing needs a coordinator trace to merge into.
+    if (options.traceCapacity > 0 && options.siteTrace) {
       siteTraces.resize(sessions.size());
-      if (options.siteTrace == SiteTraceMode::kPiggyback) {
-        for (std::size_t i = 0; i < sessions.size(); ++i) {
-          sessions[i]->setTraceSink(&siteTraces[i]);
-        }
-      }
     }
     if (options.broadcastThreads > 0 && sessions.size() > 2) {
       broadcastPool = std::make_unique<ThreadPool>(options.broadcastThreads);
@@ -168,7 +155,9 @@ struct QueryRun {
   }
 
   ~QueryRun() {
-    finish();  // best-effort when unwinding; no-op after finalize()
+    // Best-effort when unwinding; both are no-ops after finalize().
+    finish();
+    closeLedger(/*completed=*/false);
     if (inflight != nullptr) inflight->sub(1);
   }
 
@@ -192,17 +181,29 @@ struct QueryRun {
 
   bool siteTracing() const noexcept { return !siteTraces.empty(); }
 
+  /// Ledger row of the site at `index` in `sessions`.
+  SiteProfile& row(std::size_t index) { return result.profile.sites[index]; }
+
+  /// One To-Server pull from the site at `index` that returned
+  /// `candidates` tuples (0 or 1 for sorted access; the whole partition for
+  /// the naive baseline's shipAll).
+  void recordPull(std::size_t index, std::uint64_t candidates) {
+    SiteProfile& site = row(index);
+    ++site.rounds;
+    site.candidates += candidates;
+  }
+
   /// Marks an RPC span that needed transport retries: the attempt count and
   /// the site breaker's state (0 closed, 1 open, 2 half-open).  Clean RPCs
   /// stay unannotated, so a faulty run's trace differs from a clean one
   /// only by these attrs.  The breaker comes from the session handle itself
   /// (the active replica's, under failover) — positional coordinator
-  /// lookups are not stable once sites join and leave.  Also folds the
-  /// extra attempts into the session's per-site retry tally (profile).
+  /// lookups are not stable once sites join and leave.  Also records the
+  /// extra attempts in the site's ledger row.
   void annotateRetries(obs::TraceSpan& rpc, std::size_t index) {
     const SiteHandle& handle = *sessions[index];
     if (const std::uint32_t attempts = handle.lastAttempts(); attempts > 1) {
-      tallies[index].retries += attempts - 1;
+      row(index).retries += attempts - 1;
       rpc.attr("attempts", attempts);
       if (const SiteHealth* health = handle.sessionHealth();
           health != nullptr) {
@@ -230,9 +231,6 @@ struct QueryRun {
     dead.push_back(site);
     result.degraded = true;
     result.excludedSites.push_back(site);
-    if (degradedQueries != nullptr && dead.size() == 1) {
-      degradedQueries->inc();
-    }
     obs::TraceSpan s = span("site.dead");
     s.attr("site", site);
     obs::eventLog().emit(LogLevel::kWarn, "engine", "site.dead",
@@ -245,14 +243,12 @@ struct QueryRun {
   /// that did prepare.  In degraded mode an unreachable site is excluded
   /// instead of failing the query; only losing *every* site is fatal.
   /// When site tracing is on, the request is stamped with the session's
-  /// trace capacity and shipping mode before it goes out.
+  /// trace capacity before it goes out.
   void prepareAll(PrepareRequest request) {
     if (siteTracing()) {
-      request.traceCapacity = static_cast<std::uint32_t>(std::min<
-          std::size_t>(options.siteTraceCapacity,
-                       std::numeric_limits<std::uint32_t>::max()));
-      request.tracePiggyback =
-          options.siteTrace == SiteTraceMode::kPiggyback;
+      request.traceCapacity = static_cast<std::uint32_t>(
+          std::min<std::size_t>(options.traceCapacity,
+                                std::numeric_limits<std::uint32_t>::max()));
     }
     sessionsOpen = true;
     for (std::size_t i = 0; i < sessions.size(); ++i) {
@@ -276,14 +272,14 @@ struct QueryRun {
   /// Releases the site-side session state (kFinishQuery, idempotent).
   /// Exceptions are swallowed: finish is cleanup, and the sites drop
   /// unknown ids anyway.  Dead sites are skipped — their retry budget was
-  /// already spent detecting the failure.  In fetch-mode site tracing this
-  /// is the last chance to read the site-side spans (kFinishQuery destroys
-  /// the session tracer with the rest of the session), so every live site
-  /// gets one best-effort kFetchTrace first.
+  /// already spent detecting the failure.  With site tracing on this is
+  /// the last chance to read the site-side spans (kFinishQuery destroys the
+  /// session tracer with the rest of the session), so every live site gets
+  /// one best-effort kFetchTrace first.
   void finish() noexcept {
     if (!sessionsOpen) return;
     sessionsOpen = false;
-    if (options.siteTrace == SiteTraceMode::kFetch && siteTracing()) {
+    if (siteTracing()) {
       const FetchTraceRequest fetch{id};
       for (std::size_t i = 0; i < sessions.size(); ++i) {
         if (isDead(sessions[i]->siteId())) continue;
@@ -327,88 +323,68 @@ struct QueryRun {
   double evaluateGlobally(const Candidate& c, bool pruneLocal, DimMask mask,
                           const std::optional<Rect>& window,
                           obs::SpanId broadcastSpan = obs::kNoSpan) {
-    QueryStats& stats = result.stats;
     double globalSkyProb = c.localSkyProb;
     const EvaluateRequest request{id, c.tuple, mask, pruneLocal, window};
-
-    if (broadcastPool != nullptr) {
-      struct Pending {
-        std::size_t index;
-        SiteId site;
-        obs::TraceSpan rpc;
-        std::future<EvaluateResponse> future;
-      };
-      std::vector<Pending> responses;
-      responses.reserve(sessions.size());
-      for (std::size_t i = 0; i < sessions.size(); ++i) {
-        const auto& s = sessions[i];
-        if (s->siteId() == c.site || isDead(s->siteId())) continue;
-        obs::TraceSpan rpc(tracer, "rpc.evaluate", broadcastSpan);
-        rpc.attr("site", s->siteId());
-        responses.push_back(Pending{
-            i, s->siteId(), std::move(rpc),
-            broadcastPool->submit(
-                [&site = *s, &request] { return site.evaluate(request); })});
-      }
-      // Drain every future before any rethrow: the workers capture the
-      // stack-allocated request by reference.
-      std::vector<SiteId> failed;
-      std::exception_ptr fatal;
-      for (auto& p : responses) {
-        try {
-          const EvaluateResponse r = p.future.get();
-          if (siteTracing()) {
-            p.rpc.attr("seq",
-                       static_cast<double>(sessions[p.index]->lastEvalSeq()));
-          }
-          annotateRetries(p.rpc, p.index);
-          p.rpc.close();
-          globalSkyProb *= r.survival;
-          stats.prunedAtSites += r.prunedCount;
-          tallies[p.index].pruned += r.prunedCount;
-        } catch (const NetError&) {
-          if (degradeOk()) {
-            failed.push_back(p.site);
-          } else if (!fatal) {
-            fatal = std::current_exception();
-          }
-        } catch (...) {
-          if (!fatal) fatal = std::current_exception();
+    struct Call {
+      std::size_t index;
+      obs::TraceSpan rpc;
+      std::future<EvaluateResponse> future;  ///< pooled path only
+    };
+    std::vector<SiteId> failed;
+    std::exception_ptr fatal;
+    // Folds one site's response into the product and its ledger row, in
+    // site order on this thread.  Failures are held until every pooled
+    // future is drained: the workers capture the request by reference.
+    const auto settle = [&](Call& call, auto&& respond) {
+      try {
+        const EvaluateResponse r = respond();
+        if (siteTracing()) {
+          call.rpc.attr("seq", static_cast<double>(
+                                   sessions[call.index]->lastEvalSeq()));
         }
-      }
-      if (fatal) std::rethrow_exception(fatal);
-      for (const SiteId site : failed) markDead(site);
-    } else {
-      for (std::size_t i = 0; i < sessions.size(); ++i) {
-        const auto& s = sessions[i];
-        if (s->siteId() == c.site || isDead(s->siteId())) continue;
-        obs::TraceSpan rpc(tracer, "rpc.evaluate", broadcastSpan);
-        rpc.attr("site", s->siteId());
-        try {
-          const EvaluateResponse r = s->evaluate(request);
-          if (siteTracing()) {
-            rpc.attr("seq", static_cast<double>(s->lastEvalSeq()));
-          }
-          annotateRetries(rpc, i);
-          globalSkyProb *= r.survival;
-          stats.prunedAtSites += r.prunedCount;
-          tallies[i].pruned += r.prunedCount;
-        } catch (const NetError&) {
-          if (!degradeOk()) throw;
-          markDead(s->siteId());
+        annotateRetries(call.rpc, call.index);
+        call.rpc.close();
+        globalSkyProb *= r.survival;
+        row(call.index).pruned += r.prunedCount;
+      } catch (const NetError&) {
+        if (degradeOk()) {
+          failed.push_back(sessions[call.index]->siteId());
+        } else if (!fatal) {
+          fatal = std::current_exception();
         }
+      } catch (...) {
+        if (!fatal) fatal = std::current_exception();
       }
+    };
+    std::vector<Call> pooled;
+    for (std::size_t i = 0; i < sessions.size() && !fatal; ++i) {
+      SiteHandle& site = *sessions[i];
+      if (site.siteId() == c.site || isDead(site.siteId())) continue;
+      Call call{i, obs::TraceSpan(tracer, "rpc.evaluate", broadcastSpan), {}};
+      call.rpc.attr("site", site.siteId());
+      if (broadcastPool == nullptr) {
+        settle(call, [&] { return site.evaluate(request); });
+        continue;
+      }
+      call.future = broadcastPool->submit(
+          [&site, &request] { return site.evaluate(request); });
+      pooled.push_back(std::move(call));
     }
-    ++stats.broadcasts;
+    for (Call& call : pooled) {
+      settle(call, [&] { return call.future.get(); });
+    }
+    if (fatal) std::rethrow_exception(fatal);
+    for (const SiteId site : failed) markDead(site);
+    ++result.stats.broadcasts;
     return globalSkyProb;
   }
 
   /// One To-Server pull from `site`: traces the round trip (with the
-  /// attempt count when retries happened), counts the candidate, and — in
-  /// degraded mode — excludes a site that stays unreachable instead of
-  /// failing the query.  Dead sites return nothing.
-  std::optional<Candidate> pull(SiteId site, const NextCandidateRequest& cursor,
-                                QueryStats& stats) {
+  /// attempt count when retries happened), records it in the site's ledger
+  /// row, and — in degraded mode — excludes a site that stays unreachable
+  /// instead of failing the query.  Dead sites return nothing.
+  std::optional<Candidate> pull(SiteId site,
+                                const NextCandidateRequest& cursor) {
     if (isDead(site)) return std::nullopt;
     const std::size_t index = sessionIndexOf(site);
     SiteHandle& handle = *sessions[index];
@@ -416,16 +392,13 @@ struct QueryRun {
     pullSpan.attr("site", site);
     try {
       auto response = handle.nextCandidate(cursor);
-      ++tallies[index].rounds;
+      recordPull(index, response.candidate.has_value() ? 1 : 0);
       if (siteTracing()) {
         // Matches this round trip to the site-side "site.next" span carrying
         // the same sequence number (see obs::mergeSiteTraces).
         pullSpan.attr("seq", static_cast<double>(handle.lastNextSeq()));
       }
       annotateRetries(pullSpan, index);
-      if (!response.candidate) return std::nullopt;
-      ++tallies[index].candidates;
-      countPull(stats);
       return std::move(response.candidate);
     } catch (const NetError&) {
       if (!degradeOk()) throw;
@@ -434,20 +407,13 @@ struct QueryRun {
     }
   }
 
-  /// Sums the per-chain scopes into one aggregate (what the single session
-  /// scope used to hold).
-  UsageTotals usageTotals() const {
-    UsageTotals sum;
-    for (const auto& scope : siteUsage) {
-      const UsageTotals t = scope->totals();
-      sum.tuples += t.tuples;
-      sum.bytes += t.bytes;
-      sum.calls += t.calls;
-    }
-    return sum;
+  /// Tuples shipped so far, summed over the per-chain scopes (the
+  /// progress curve samples this at every emit).
+  std::uint64_t tuplesSoFar() const {
+    std::uint64_t tuples = 0;
+    for (const auto& scope : siteUsage) tuples += scope->totals().tuples;
+    return tuples;
   }
-
-  std::uint64_t tuplesSoFar() const { return usageTotals().tuples; }
 
   /// Cooperative cancellation: aborts the run with QueryCancelled once the
   /// shared flag (QueryOptions::cancel) has been set.  Checked at every
@@ -462,18 +428,6 @@ struct QueryRun {
   }
 
   obs::TraceSpan span(std::string_view name) { return {tracer, name}; }
-
-  /// One To-Server pull that returned a candidate.
-  void countPull(QueryStats& stats) {
-    ++stats.candidatesPulled;
-    if (pulls != nullptr) pulls->inc();
-  }
-
-  /// One candidate killed by the e-DSUD bound (no broadcast spent).
-  void countExpunge(QueryStats& stats) {
-    ++stats.expunged;
-    if (expunges != nullptr) expunges->inc();
-  }
 
   /// RAII scope for one protocol round: a "round" span in the timeline plus
   /// a sample in the per-round latency histogram.
@@ -513,7 +467,6 @@ struct QueryRun {
       s.attr("tuple", static_cast<double>(entry.tuple.id));
       s.attr("p_gsky", globalSkyProb);
     }
-    if (answers != nullptr) answers->inc();
 
     if (options.progress) options.progress(entry, point);
     result.skyline.push_back(std::move(entry));
@@ -526,17 +479,7 @@ struct QueryRun {
     // round trips land in this query's stats deterministically.
     finish();
     result.stats.seconds = watch.elapsedSeconds();
-    const UsageTotals totals = usageTotals();
-    result.stats.tuplesShipped = totals.tuples;
-    result.stats.bytesShipped = totals.bytes;
-    result.stats.roundTrips = totals.calls;
-    if (queries != nullptr) {
-      queries->inc();
-      // prunedAtSites accumulates inside evaluateGlobally; fold the query's
-      // total into the counter here rather than threading a hook through.
-      sitePrunes->add(result.stats.prunedAtSites);
-      queryLatency->observe(result.stats.seconds);
-    }
+    closeLedger(/*completed=*/true);
     tracer.end(root);
     result.trace = tracer.take();
     if (siteTracing()) {
@@ -547,45 +490,63 @@ struct QueryRun {
       }
       obs::mergeSiteTraces(result.trace, inputs);
     }
-    buildProfile(executeDone);
-    emitLifecycleEvents();
-    maybeDumpSlowQuery();
-    return std::move(result);
-  }
-
-  /// Assembles the EXPLAIN/ANALYZE profile from the per-chain usage scopes
-  /// and coordinator-thread tallies.  Cheap (one small vector per query) and
-  /// unconditional — whether the client *sees* it is the protocol's choice,
-  /// so answers are bit-identical with profiling on or off.
-  void buildProfile(double executeDone) {
     QueryProfile& p = result.profile;
     p.algo = algo;
     p.prepareSeconds = prepareDoneSeconds;
     p.executeSeconds = std::max(0.0, executeDone - prepareDoneSeconds);
-    p.finalizeSeconds =
-        std::max(0.0, result.stats.seconds - executeDone);
-    p.sites.reserve(sessions.size());
+    p.finalizeSeconds = std::max(0.0, result.stats.seconds - executeDone);
+    emitLifecycleEvents();
+    return std::move(result);
+  }
+
+  bool slow() const noexcept {
+    return options.slowQueryThreshold > 0.0 &&
+           result.stats.seconds >= options.slowQueryThreshold;
+  }
+
+  /// Closes the ledger, once per run: copies each chain's wire usage and
+  /// fault disposition into its row, derives QueryStats' site totals from
+  /// the rows, and publishes the per-query counters.  A run that unwinds
+  /// (`completed == false`) still counts what it pulled, pruned, expunged
+  /// and answered; only finished runs count as queries, feed the latency
+  /// histogram, and can be slow.
+  void closeLedger(bool completed) noexcept {
+    if (ledgerClosed) return;
+    ledgerClosed = true;
+    QueryStats& stats = result.stats;
+    QueryProfile& p = result.profile;
     for (std::size_t i = 0; i < sessions.size(); ++i) {
-      SiteProfile site;
-      site.site = sessions[i]->siteId();
+      SiteProfile& site = p.sites[i];
       const UsageTotals t = siteUsage[i]->totals();
       site.tuples = t.tuples;
       site.bytes = t.bytes;
-      site.rounds = tallies[i].rounds;
-      site.candidates = tallies[i].candidates;
-      site.pruned = tallies[i].pruned;
-      site.retries = tallies[i].retries;
+      site.roundTrips = t.calls;
       site.failovers = sessions[i]->failovers();
       site.dead = isDead(site.site);
+      stats.tuplesShipped += site.tuples;
+      stats.bytesShipped += site.bytes;
+      stats.roundTrips += site.roundTrips;
+      stats.candidatesPulled += site.candidates;
+      stats.prunedAtSites += site.pruned;
       p.failovers += site.failovers;
-      p.sites.push_back(std::move(site));
     }
+    if (queries == nullptr) return;  // no registry attached
+    pulls->add(stats.candidatesPulled);
+    sitePrunes->add(stats.prunedAtSites);
+    expunges->add(stats.expunged);
+    answers->add(result.skyline.size());
+    if (result.degraded) degradedQueries->inc();
+    if (!completed) return;
+    queries->inc();
+    queryLatency->observe(stats.seconds);
+    if (slow()) slowQueries->inc();
   }
 
   /// query.done (info) for every run; query.degraded (warn) plus a flight-
   /// recorder anomaly dump when sites were lost — the dump is the always-on
   /// record of *why* (retries → breaker trips → site.dead precede it in the
-  /// ring).
+  /// ring); query.slow (warn) when the run exceeded
+  /// QueryOptions::slowQueryThreshold.
   void emitLifecycleEvents() {
     obs::EventLog& log = obs::eventLog();
     log.emit(LogLevel::kInfo, "engine", "query.done",
@@ -603,41 +564,13 @@ struct QueryRun {
                 obs::field("excluded", result.excludedSites.size())});
       obs::flightRecorder().anomaly("degraded_query");
     }
-  }
-
-  /// Slow-query log: when the run exceeded QueryOptions::slowQueryThreshold,
-  /// count it and emit a `query.slow` event into the structured log (one
-  /// stream with everything else; the flight recorder retains it).  The
-  /// legacy per-query Perfetto dump — `<algo>-q<id>-<ms>ms.trace.json` in
-  /// `slowQueryDir` — is kept as a compatibility shim for check_trace.py
-  /// consumers and is deprecated (docs/ARCHITECTURE §14).  Best-effort: an
-  /// unwritable directory never fails the query.
-  void maybeDumpSlowQuery() {
-    if (options.slowQueryThreshold <= 0.0 ||
-        result.stats.seconds < options.slowQueryThreshold) {
-      return;
-    }
-    if (slowQueries != nullptr) slowQueries->inc();
-    obs::eventLog().emit(
-        LogLevel::kWarn, "engine", "query.slow",
-        {obs::field("query", id), obs::field("algo", algo),
-         obs::field("seconds", result.stats.seconds),
-         obs::field("threshold", options.slowQueryThreshold),
-         obs::field("tuples", result.stats.tuplesShipped),
-         obs::field("round_trips", result.stats.roundTrips)});
-    if (options.slowQueryDir.empty()) return;
-    try {
-      std::filesystem::create_directories(options.slowQueryDir);
-      const auto ms =
-          static_cast<long long>(result.stats.seconds * 1e3);
-      const std::filesystem::path file =
-          std::filesystem::path(options.slowQueryDir) /
-          (std::string(algo) + "-q" + std::to_string(id) + "-" +
-           std::to_string(ms) + "ms.trace.json");
-      std::ofstream out(file, std::ios::trunc);
-      out << obs::traceToPerfetto(result.trace);
-    } catch (...) {
-      // Losing a dump is acceptable; losing the query result is not.
+    if (slow()) {
+      log.emit(LogLevel::kWarn, "engine", "query.slow",
+               {obs::field("query", id), obs::field("algo", algo),
+                obs::field("seconds", result.stats.seconds),
+                obs::field("threshold", options.slowQueryThreshold),
+                obs::field("tuples", result.stats.tuplesShipped),
+                obs::field("round_trips", result.stats.roundTrips)});
     }
   }
 };

@@ -52,9 +52,12 @@ struct QueryStats {
 
 /// Per-site slice of a query's EXPLAIN/ANALYZE profile: how much work one
 /// site contributed and how the coordinator's fault machinery treated it.
+/// These rows are the run's ledger: QueryStats' tuples, bytes, round trips,
+/// candidates and Local-Pruning victims are their column sums.
 struct SiteProfile {
   SiteId site = kNoSite;
   std::uint64_t rounds = 0;      ///< sorted-access pulls served (To-Server)
+  std::uint64_t roundTrips = 0;  ///< RPCs to this site, every message type
   std::uint64_t tuples = 0;      ///< tuples shipped from/to this site
   std::uint64_t bytes = 0;       ///< wire bytes attributed to this site
   std::uint64_t candidates = 0;  ///< candidates this site contributed
@@ -140,19 +143,6 @@ enum class Algo {
   kEdsud,  ///< Sec. 5.2: + global-probability upper bounds and expunging
 };
 
-/// How site-side spans travel back to the coordinator.  kOff keeps the wire
-/// encoding byte-identical to untraced runs (the default, so bandwidth
-/// comparisons between transports stay exact).  kPiggyback appends each
-/// session's new spans as a trailer on every query response — cheap for
-/// in-process channels, adds per-response bytes on TCP.  kFetch leaves
-/// responses untouched and pulls the whole site trace with one kFetchTrace
-/// RPC per site at finishQuery time.
-enum class SiteTraceMode {
-  kOff,
-  kPiggyback,
-  kFetch,
-};
-
 /// Opt-in shared-work execution (QueryEngine::submitBatched): a submitted
 /// query waits up to `windowSeconds` for compatible queries — same
 /// algorithm, subspace, window, and execution knobs; any thresholds — and
@@ -200,21 +190,17 @@ struct QueryOptions {
   /// the first transport error aborts the query with SiteFailure.
   FaultOptions fault;
 
-  /// Site-side span collection (see SiteTraceMode).  Ignored when
-  /// `traceCapacity == 0` — without a coordinator trace there is nothing to
-  /// merge site spans into.
-  SiteTraceMode siteTrace = SiteTraceMode::kOff;
+  /// Site-side span collection: each site session records its own spans
+  /// (capped at `traceCapacity`), and the coordinator pulls them with one
+  /// kFetchTrace per site at finish time and merges them into the query's
+  /// timeline.  Ignored when `traceCapacity == 0` — without a coordinator
+  /// trace there is nothing to merge site spans into.  Off by default, so
+  /// the wire stays byte-identical to an untraced run.
+  bool siteTrace = false;
 
-  /// Caps each site session's tracer (same semantics as traceCapacity).
-  std::size_t siteTraceCapacity = 65536;
-
-  /// When > 0 and the query's wall time exceeds this many seconds, the
-  /// merged trace is dumped as Perfetto JSON into `slowQueryDir`.
+  /// When > 0 and the query's wall time exceeds this many seconds, the run
+  /// emits a `query.slow` event and bumps dsud_slow_queries_total.
   double slowQueryThreshold = 0.0;
-
-  /// Directory for slow-query trace dumps (created on first use).  Empty
-  /// disables dumping even when the threshold trips.
-  std::string slowQueryDir;
 
   /// Shared-work batching window (QueryEngine::submitBatched only;
   /// synchronous run* paths ignore it).

@@ -83,9 +83,6 @@ class SessionView final : public SiteHandle {
   FetchTraceResponse fetchTrace(const FetchTraceRequest& r) override {
     return parent_->fetchTrace(r);
   }
-  void setTraceSink(obs::QueryTrace* sink) override {
-    parent_->setTraceSink(sink);
-  }
 
   std::unique_ptr<SiteHandle> openSession(QueryUsage* scope) override {
     return parent_->openSession(scope);
@@ -239,18 +236,10 @@ void RpcSiteHandle::countTuples(std::uint64_t toSite, std::uint64_t fromSite) {
   if (scope_ != nullptr) scope_->recordTuples(toSite + fromSite);
 }
 
-template <typename Msg>
-Msg RpcSiteHandle::decodeResponse(const Frame& frame) {
-  if (traceSink_ != nullptr) {
-    return fromResponseFrameWithTrace<Msg>(frame, traceSink_);
-  }
-  return fromResponseFrame<Msg>(frame);
-}
-
 PrepareResponse RpcSiteHandle::prepare(const PrepareRequest& request) {
   // Idempotent: a replayed kPrepare replaces the session wholesale.
   const Frame response = retryingRoundTrip(toFrame(MsgType::kPrepare, request));
-  return decodeResponse<PrepareResponse>(response);
+  return fromResponseFrame<PrepareResponse>(response);
 }
 
 NextCandidateResponse RpcSiteHandle::nextCandidate(
@@ -262,7 +251,7 @@ NextCandidateResponse RpcSiteHandle::nextCandidate(
   numbered.seq = ++nextSeq_;
   const Frame response =
       retryingRoundTrip(toFrame(MsgType::kNextCandidate, numbered));
-  auto msg = decodeResponse<NextCandidateResponse>(response);
+  auto msg = fromResponseFrame<NextCandidateResponse>(response);
   countTuples(0, msg.candidate.has_value() ? 1 : 0);
   return msg;
 }
@@ -276,7 +265,7 @@ EvaluateResponse RpcSiteHandle::evaluate(const EvaluateRequest& request) {
   const Frame response =
       retryingRoundTrip(toFrame(MsgType::kEvaluate, numbered));
   countTuples(1, 0);
-  return decodeResponse<EvaluateResponse>(response);
+  return fromResponseFrame<EvaluateResponse>(response);
 }
 
 ShipAllResponse RpcSiteHandle::shipAll() {

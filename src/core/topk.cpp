@@ -31,7 +31,6 @@ QueryResult QueryEngine::topkImpl(const TopKConfig& config,
   }
 
   internal::QueryRun run(*coord_, "topk", options, id);
-  QueryStats& stats = run.result.stats;
   const DimMask mask = config.effectiveMask(coord_->dims());
   const PrepareRequest prep{run.id, config.floorQ, mask,
                             PruneRule::kThresholdBound, config.window};
@@ -39,7 +38,7 @@ QueryResult QueryEngine::topkImpl(const TopKConfig& config,
 
   internal::BoundQueue queue(mask, FeedbackBound::kQueuedAndConfirmed);
   const auto pullFrom = [&](SiteId site) {
-    if (auto next = run.pull(site, cursor, stats)) {
+    if (auto next = run.pull(site, cursor)) {
       queue.add(std::move(*next));
     }
   };
@@ -84,7 +83,7 @@ QueryResult QueryEngine::topkImpl(const TopKConfig& config,
         span.attr("site", victim.site);
         span.attr("tuple", static_cast<double>(victim.tuple.id));
       }
-      run.countExpunge(stats);
+      ++run.result.stats.expunged;
       pullFrom(victim.site);
     }
     if (queue.empty()) break;
@@ -130,10 +129,6 @@ QueryResult QueryEngine::topkImpl(const TopKConfig& config,
   }
 
   run.result.skyline = std::move(top);
-  // Top-k answers are not streamed through emit(); count them here.
-  if (run.answers != nullptr) {
-    run.answers->add(run.result.skyline.size());
-  }
   return run.finalize();
 }
 

@@ -31,7 +31,12 @@
 #include <string_view>
 #include <vector>
 
-#include "common/log.hpp"  // LogLevel
+namespace dsud {
+
+/// Severity of a structured event; EventLog drops events below its level.
+enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
+
+}  // namespace dsud
 
 namespace dsud::obs {
 

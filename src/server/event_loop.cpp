@@ -162,14 +162,20 @@ void EventLoop::runDueTimers() {
 
 void EventLoop::run() {
   running_ = true;
-  stopRequested_ = false;
+  // However run() ends, the next run() starts without a pending stop.
+  struct Reset {
+    EventLoop* loop;
+    ~Reset() {
+      loop->running_ = false;
+      loop->stopRequested_ = false;
+    }
+  } reset{this};
   epoll_event events[64];
   while (!stopRequested_) {
     const int n =
         ::epoll_wait(epollFd_, events, std::size(events), msUntilNextTimer());
     if (n < 0) {
       if (errno == EINTR) continue;
-      running_ = false;
       throw NetError(std::string("epoll_wait: ") + std::strerror(errno));
     }
     for (int i = 0; i < n && !stopRequested_; ++i) {
@@ -191,7 +197,6 @@ void EventLoop::run() {
     runPosted();
     runDueTimers();
   }
-  running_ = false;
 }
 
 }  // namespace dsud::server

@@ -12,6 +12,7 @@
 // thread (and stop() additionally from signal context via the wakeFd).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -44,7 +45,8 @@ class EventLoop {
   /// between epoll waits.
   void run();
 
-  /// Ends run() after the current iteration.  Any thread.
+  /// Ends run() after the current iteration.  Any thread.  A stop issued
+  /// before run() starts is kept: that run() returns at once.
   void stop();
 
   /// Enqueues `task` for the loop thread and wakes it.  Any thread.
@@ -71,7 +73,9 @@ class EventLoop {
     wakeHandler_ = std::move(handler);
   }
 
-  bool running() const noexcept { return running_; }
+  bool running() const noexcept {
+    return running_.load(std::memory_order_relaxed);
+  }
 
  private:
   struct Timer {
@@ -96,8 +100,10 @@ class EventLoop {
 
   int epollFd_ = -1;
   int wakeFd_ = -1;
-  bool running_ = false;
-  bool stopRequested_ = false;
+  std::atomic<bool> running_{false};
+  /// Set by stop() from any thread; cleared when run() returns, so the
+  /// next run() starts fresh.
+  std::atomic<bool> stopRequested_{false};
   std::uint32_t nextGen_ = 1;
   std::map<int, Handler> handlers_;
   std::function<void()> wakeHandler_;

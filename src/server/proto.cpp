@@ -210,6 +210,7 @@ Json profileToJson(const QueryProfile& profile) {
     Json site = Json::object();
     site.set("site", static_cast<std::uint64_t>(s.site));
     site.set("rounds", s.rounds);
+    site.set("round_trips", s.roundTrips);
     site.set("tuples", s.tuples);
     site.set("bytes", s.bytes);
     site.set("candidates", s.candidates);
@@ -255,6 +256,7 @@ QueryProfile profileFromJson(const Json& v) {
       site.site = static_cast<SiteId>(
           getUint(s, "site", 0, std::numeric_limits<SiteId>::max()));
       site.rounds = getUint(s, "rounds", 0, kMax);
+      site.roundTrips = getUint(s, "round_trips", 0, kMax);
       site.tuples = getUint(s, "tuples", 0, kMax);
       site.bytes = getUint(s, "bytes", 0, kMax);
       site.candidates = getUint(s, "candidates", 0, kMax);

@@ -301,6 +301,7 @@ TEST(ProtoResponseTest, DoneWithProfileRoundTrip) {
   SiteProfile alive;
   alive.site = 0;
   alive.rounds = 4;
+  alive.roundTrips = 31;
   alive.tuples = 25;
   alive.bytes = 1200;
   alive.candidates = 30;

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <map>
 #include <memory>
 #include <string>
@@ -916,15 +917,47 @@ TEST(ServerTest, ProfileOnAnswerIsBitIdenticalAndCompleteForAllAlgos) {
     EXPECT_EQ(profile.failovers, 0u);
     EXPECT_GE(profile.executeSeconds, 0.0);
     ASSERT_EQ(profile.sites.size(), 4u) << "one row per site";
-    std::uint64_t tuples = 0;
+    SiteProfile sum;
     for (const SiteProfile& site : profile.sites) {
       EXPECT_FALSE(site.dead);
       EXPECT_EQ(site.retries, 0u);
-      tuples += site.tuples;
+      sum.tuples += site.tuples;
+      sum.bytes += site.bytes;
+      sum.roundTrips += site.roundTrips;
+      sum.candidates += site.candidates;
+      sum.pruned += site.pruned;
     }
-    // Per-site shipping decomposes the query-level total exactly.
-    EXPECT_EQ(tuples, profiled.done.stats.tuplesShipped) << c.expected;
+    // The rows are the query's ledger: they decompose every query-level
+    // total exactly.
+    const QueryStats& stats = profiled.done.stats;
+    EXPECT_EQ(sum.tuples, stats.tuplesShipped) << c.expected;
+    EXPECT_EQ(sum.bytes, stats.bytesShipped) << c.expected;
+    EXPECT_EQ(sum.roundTrips, stats.roundTrips) << c.expected;
+    EXPECT_EQ(sum.candidates, stats.candidatesPulled) << c.expected;
+    EXPECT_EQ(sum.pruned, stats.prunedAtSites) << c.expected;
+    EXPECT_GT(sum.candidates, 0u) << c.expected;
   }
+}
+
+TEST(ServerTest, StopBeforeRunIsNotLost) {
+  SyntheticSpec spec;
+  spec.n = 200;
+  spec.dims = 2;
+  InProcCluster cluster(Topology::uniform(generateSynthetic(spec), 2, 1));
+  QueryServer server(cluster.engine(), cluster.metricsRegistry(), {});
+  server.start();
+  server.stop();  // before the loop ever runs
+  std::promise<void> exited;
+  std::future<void> done = exited.get_future();
+  std::thread loop([&server, &exited] {
+    server.run();
+    exited.set_value();
+  });
+  const bool returned =
+      done.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  EXPECT_TRUE(returned) << "run() must honour a stop() issued before it";
+  if (!returned) server.stop();  // unblock the loop so the join can finish
+  loop.join();
 }
 
 }  // namespace

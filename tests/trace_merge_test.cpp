@@ -1,16 +1,14 @@
 // Cross-site distributed tracing: the NTP-style clock alignment and span
 // merge (obs/merge.hpp), the explicit-parent tracer API it builds on, and
-// the end-to-end pipeline — site-side spans shipped piggybacked (in-process)
-// or via kFetchTrace (TCP), merged into the coordinator's timeline so every
-// site span lands INSIDE its parent RPC span, exported as Perfetto-loadable
-// JSON, and dumped by the slow-query log.
+// the end-to-end pipeline — site-side spans fetched with one kFetchTrace per
+// site (in-process and over TCP), merged into the coordinator's timeline so
+// every site span lands INSIDE its parent RPC span, exported as
+// Perfetto-loadable JSON — and the slow-query log.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
 #include <memory>
+#include <mutex>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +22,7 @@
 #include "gen/synthetic.hpp"
 #include "net/tcp_transport.hpp"
 #include "obs/export.hpp"
+#include "obs/log.hpp"
 #include "obs/merge.hpp"
 #include "obs/trace.hpp"
 #include "test_util.hpp"
@@ -284,14 +283,14 @@ TEST(MergeSiteTracesTest, EmptyInputsAreNoOps) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: piggyback over the in-process transport
+// End-to-end: kFetchTrace over the in-process transport
 
-TEST(SiteTraceE2ETest, PiggybackMergesEverySiteSpanInsideItsRpc) {
+TEST(SiteTraceE2ETest, FetchMergesEverySiteSpanInsideItsRpc) {
   const Dataset global = generateSynthetic(
       SyntheticSpec{900, 3, ValueDistribution::kAnticorrelated, 501});
   InProcCluster cluster(Topology::uniform(global, 5, 502));
   QueryOptions options;
-  options.siteTrace = SiteTraceMode::kPiggyback;
+  options.siteTrace = true;
 
   const QueryResult result = cluster.engine().runEdsud(QueryConfig{}, options);
 
@@ -320,15 +319,7 @@ TEST(SiteTraceE2ETest, SiteTraceOffKeepsTheWirePayloadIdentical) {
   const QueryResult a = plain.engine().runEdsud(QueryConfig{});
   const QueryResult b = traced.engine().runEdsud(QueryConfig{}, off);
   EXPECT_EQ(a.stats.bytesShipped, b.stats.bytesShipped)
-      << "SiteTraceMode::kOff must keep responses byte-identical";
-
-  QueryOptions piggyback;
-  piggyback.siteTrace = SiteTraceMode::kPiggyback;
-  const QueryResult c = traced.engine().runEdsud(QueryConfig{}, piggyback);
-  EXPECT_GT(c.stats.bytesShipped, a.stats.bytesShipped)
-      << "piggybacked trailers ride on the measured responses";
-  EXPECT_EQ(c.skyline.size(), a.skyline.size())
-      << "tracing must not change the answer";
+      << "site tracing off must keep responses byte-identical";
 }
 
 TEST(SiteTraceE2ETest, FetchModeReadsSpansAtFinishTime) {
@@ -336,7 +327,7 @@ TEST(SiteTraceE2ETest, FetchModeReadsSpansAtFinishTime) {
       SyntheticSpec{600, 3, ValueDistribution::kAnticorrelated, 505});
   InProcCluster cluster(Topology::uniform(global, 4, 506));
   QueryOptions options;
-  options.siteTrace = SiteTraceMode::kFetch;
+  options.siteTrace = true;
 
   const QueryResult result = cluster.engine().runDsud(QueryConfig{}, options);
   ASSERT_FALSE(result.trace.empty());
@@ -401,20 +392,16 @@ TEST(SiteTraceE2ETest, TcpClusterAlignsSiteClocksIntoRpcSpans) {
   const auto siteData = partitionUniform(global, 4, rng);
   TcpCluster cluster(siteData);
 
-  for (const SiteTraceMode mode :
-       {SiteTraceMode::kPiggyback, SiteTraceMode::kFetch}) {
-    QueryOptions options;
-    options.siteTrace = mode;
-    const QueryResult result =
-        cluster.engine().runEdsud(QueryConfig{}, options);
-    ASSERT_FALSE(result.trace.empty());
-    expectSiteSpansContained(result.trace);
-    const auto summaries = mergeSummaries(result.trace);
-    ASSERT_EQ(summaries.size(), 4u);
-    for (const obs::TraceEvent* s : summaries) {
-      EXPECT_GT(attrOf(*s, "samples").value_or(0.0), 0.0)
-          << "every site needs at least one clean offset sample";
-    }
+  QueryOptions options;
+  options.siteTrace = true;
+  const QueryResult result = cluster.engine().runEdsud(QueryConfig{}, options);
+  ASSERT_FALSE(result.trace.empty());
+  expectSiteSpansContained(result.trace);
+  const auto summaries = mergeSummaries(result.trace);
+  ASSERT_EQ(summaries.size(), 4u);
+  for (const obs::TraceEvent* s : summaries) {
+    EXPECT_GT(attrOf(*s, "samples").value_or(0.0), 0.0)
+        << "every site needs at least one clean offset sample";
   }
 }
 
@@ -426,7 +413,7 @@ TEST(SiteTraceE2ETest, PerfettoExportPutsSiteSpansOnSiteTracks) {
       SyntheticSpec{500, 2, ValueDistribution::kAnticorrelated, 509});
   InProcCluster cluster(Topology::uniform(global, 3, 510));
   QueryOptions options;
-  options.siteTrace = SiteTraceMode::kPiggyback;
+  options.siteTrace = true;
   const QueryResult result = cluster.engine().runEdsud(QueryConfig{}, options);
 
   const std::string json = obs::traceToPerfetto(result.trace);
@@ -465,51 +452,68 @@ TEST(SiteTraceE2ETest, PerfettoExportPutsSiteSpansOnSiteTracks) {
   EXPECT_FALSE(inString);
 }
 
-TEST(SiteTraceE2ETest, SlowQueryLogDumpsMergedTrace) {
+/// Keeps the `query.slow` events the process-wide event log fans out.
+class SlowQuerySink final : public obs::EventSink {
+ public:
+  void accept(const obs::Event& event) override {
+    if (event.name != "query.slow") return;
+    std::lock_guard lock(mutex_);
+    events_.push_back(event);
+  }
+  std::vector<obs::Event> events() const {
+    std::lock_guard lock(mutex_);
+    return events_;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::vector<obs::Event> events_;
+};
+
+std::optional<std::uint64_t> uintField(const obs::Event& event,
+                                       const std::string& key) {
+  for (const obs::EventField& f : event.fields) {
+    if (f.key == key && f.kind == obs::EventField::Kind::kUint) return f.u;
+  }
+  return std::nullopt;
+}
+
+TEST(SiteTraceE2ETest, SlowQueryLogCountsAndEmitsQuerySlow) {
   const Dataset global = generateSynthetic(
       SyntheticSpec{500, 2, ValueDistribution::kAnticorrelated, 511});
   InProcCluster cluster(Topology::uniform(global, 3, 512));
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / "dsud_slow_queries";
-  std::filesystem::remove_all(dir);
+  const auto sink = std::make_shared<SlowQuerySink>();
+  obs::eventLog().addSink(sink);
 
   QueryOptions options;
-  options.siteTrace = SiteTraceMode::kPiggyback;
+  options.siteTrace = true;
   options.slowQueryThreshold = 1e-9;  // every real query exceeds this
-  options.slowQueryDir = dir.string();
   const QueryResult result = cluster.engine().runEdsud(QueryConfig{}, options);
   ASSERT_FALSE(result.trace.empty());
 
-  std::vector<std::filesystem::path> dumps;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    dumps.push_back(entry.path());
-  }
-  ASSERT_EQ(dumps.size(), 1u);
-  EXPECT_NE(dumps[0].filename().string().find("edsud-q"), std::string::npos);
-  EXPECT_NE(dumps[0].filename().string().find(".trace.json"),
-            std::string::npos);
-  std::ifstream in(dumps[0]);
-  std::stringstream content;
-  content << in.rdbuf();
-  EXPECT_NE(content.str().find("\"traceEvents\""), std::string::npos);
+  const auto slowQueries = [&cluster]() -> std::uint64_t {
+    const auto snapshot = cluster.metricsRegistry().snapshot();
+    const auto* count =
+        snapshot.counter("dsud_slow_queries_total{algo=\"edsud\"}");
+    return count == nullptr ? 0 : *count;
+  };
+  EXPECT_EQ(slowQueries(), 1u);
+  std::vector<obs::Event> events = sink->events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].level, LogLevel::kWarn);
+  EXPECT_EQ(events[0].component, "engine");
+  EXPECT_EQ(uintField(events[0], "query"), result.id);
+  EXPECT_EQ(uintField(events[0], "tuples"), result.stats.tuplesShipped);
+  EXPECT_EQ(uintField(events[0], "round_trips"), result.stats.roundTrips);
 
-  const auto* slow = cluster.metricsRegistry().snapshot().counter(
-      "dsud_slow_queries_total{algo=\"edsud\"}");
-  ASSERT_NE(slow, nullptr);
-  EXPECT_EQ(*slow, 1u);
-
-  // Fast queries (threshold sky-high) never dump and never count.
+  // Fast queries (threshold sky-high) never count and never log.
   QueryOptions fast;
   fast.slowQueryThreshold = 1e9;
-  fast.slowQueryDir = dir.string();
   (void)cluster.engine().runEdsud(QueryConfig{}, fast);
-  std::size_t after = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    (void)entry;
-    ++after;
-  }
-  EXPECT_EQ(after, 1u);
-  std::filesystem::remove_all(dir);
+  EXPECT_EQ(slowQueries(), 1u);
+  events = sink->events();
+  EXPECT_EQ(events.size(), 1u);
+  obs::eventLog().removeSink(sink.get());
 }
 
 }  // namespace

@@ -25,9 +25,8 @@
 //   dsudctl debug    <queries|topology|cache|recorder> --connect=<http-port>
 //   dsudctl trace    --in=data.bin --out=query.trace.json
 //                    [--algo=edsud|dsud|naive] [--m=6] [--q=0.3] [--seed=1]
-//                    [--transport=inproc|tcp] [--site-trace=piggyback|fetch|off]
-//                    [--trace-capacity=65536] [--slow-threshold=0]
-//                    [--slow-dir=<dir>]
+//                    [--transport=inproc|tcp] [--site-trace=fetch|off]
+//                    [--trace-capacity=65536]
 //
 // `metrics` runs one query with full observability enabled and prints the
 // resulting metrics snapshot — Prometheus text exposition by default,
@@ -43,19 +42,18 @@
 //
 // `query --profile` requests the per-query EXPLAIN/ANALYZE block and prints
 // it after the summary: phase timings, cache/batch/failover disposition,
-// and a per-site table (rounds, tuples, bytes, candidates, pruned, retries,
-// failovers, dead).  Answers are bit-identical with or without --profile —
-// the flag only controls reporting.
+// and a per-site table (rounds, round trips, tuples, bytes, candidates,
+// pruned, retries, failovers, dead).  Answers are bit-identical with or
+// without --profile — the flag only controls reporting.
 //
 // `trace` runs one query with distributed tracing on — the sites record
-// their own spans, ship them to the coordinator (piggybacked on responses,
-// or via kFetchTrace with --site-trace=fetch), and the merged, clock-aligned
-// timeline is written as Chrome trace_event JSON that loads directly in
-// Perfetto (https://ui.perfetto.dev) or chrome://tracing.  --transport=tcp
-// runs the cluster over real loopback sockets (one server thread per site)
-// so the trace shows genuine wire latencies.  --slow-threshold/--slow-dir
-// exercise the slow-query log: queries slower than the threshold (seconds)
-// also dump their trace into the directory.
+// their own spans, the coordinator fetches them with one kFetchTrace per
+// site at finish time (--site-trace=off keeps coordinator spans only), and
+// the merged, clock-aligned timeline is written as Chrome trace_event JSON
+// that loads directly in Perfetto (https://ui.perfetto.dev) or
+// chrome://tracing.  --transport=tcp runs the cluster over real loopback
+// sockets (one server thread per site) so the trace shows genuine wire
+// latencies.
 //
 // Fault tolerance (`query`): --deadline-ms bounds every RPC, --retries adds
 // that many retry attempts on top of the first try, and
@@ -247,18 +245,21 @@ void printProfile(const QueryProfile& profile) {
               profile.finalizeSeconds * 1e3);
   if (profile.sites.empty()) return;
   std::printf(
-      "  %-6s %7s %8s %10s %7s %7s %8s %10s %5s\n", "site", "rounds",
-      "tuples", "bytes", "cands", "pruned", "retries", "failovers", "dead");
+      "  %-6s %7s %6s %8s %10s %7s %7s %8s %10s %5s\n", "site", "rounds",
+      "rtts", "tuples", "bytes", "cands", "pruned", "retries", "failovers",
+      "dead");
   for (const SiteProfile& site : profile.sites) {
-    std::printf("  %-6u %7llu %8llu %10llu %7llu %7llu %8llu %10llu %5s\n",
-                site.site, static_cast<unsigned long long>(site.rounds),
-                static_cast<unsigned long long>(site.tuples),
-                static_cast<unsigned long long>(site.bytes),
-                static_cast<unsigned long long>(site.candidates),
-                static_cast<unsigned long long>(site.pruned),
-                static_cast<unsigned long long>(site.retries),
-                static_cast<unsigned long long>(site.failovers),
-                site.dead ? "yes" : "no");
+    std::printf(
+        "  %-6u %7llu %6llu %8llu %10llu %7llu %7llu %8llu %10llu %5s\n",
+        site.site, static_cast<unsigned long long>(site.rounds),
+        static_cast<unsigned long long>(site.roundTrips),
+        static_cast<unsigned long long>(site.tuples),
+        static_cast<unsigned long long>(site.bytes),
+        static_cast<unsigned long long>(site.candidates),
+        static_cast<unsigned long long>(site.pruned),
+        static_cast<unsigned long long>(site.retries),
+        static_cast<unsigned long long>(site.failovers),
+        site.dead ? "yes" : "no");
   }
 }
 
@@ -826,20 +827,12 @@ int cmdTrace(const ArgParser& args) {
   QueryOptions options;
   options.traceCapacity =
       static_cast<std::size_t>(args.getInt("trace-capacity", 65536));
-  options.siteTraceCapacity = options.traceCapacity;
-  const std::string mode = args.get("site-trace", "piggyback");
-  if (mode == "piggyback") {
-    options.siteTrace = SiteTraceMode::kPiggyback;
-  } else if (mode == "fetch") {
-    options.siteTrace = SiteTraceMode::kFetch;
-  } else if (mode == "off") {
-    options.siteTrace = SiteTraceMode::kOff;
-  } else {
+  const std::string mode = args.get("site-trace", "fetch");
+  if (mode != "fetch" && mode != "off") {
     std::fprintf(stderr, "trace: unknown --site-trace=%s\n", mode.c_str());
     return 1;
   }
-  options.slowQueryThreshold = args.getDouble("slow-threshold", 0.0);
-  options.slowQueryDir = args.get("slow-dir", "");
+  options.siteTrace = mode == "fetch";
 
   QueryConfig config;
   config.q = args.getDouble("q", 0.3);
