@@ -424,34 +424,29 @@ RepairDeleteResponse LocalSite::repairDelete(
   const double q = request.q;
   const DimMask mask = request.mask == 0 ? fullMask_ : request.mask;
 
-  // Region-restricted skyline search: tuples dominated by the deleted tuple
-  // whose exact local probability passes q and whose replica-based global
-  // upper bound passes q as well.
-  std::vector<ProbSkylineEntry> regional;
-  bbsSkylineStream(tree_, {.mask = mask, .q = q},
-                   [&](const ProbSkylineEntry& e) {
-                     if (dominates(deleted.values, e.values, mask)) {
-                       regional.push_back(e);
-                     }
-                     return true;
-                   });
-
-  for (ProbSkylineEntry& e : regional) {
-    const bool inReplica =
-        std::any_of(replica_.begin(), replica_.end(),
-                    [&](const ReplicaEntry& r) {
-                      return r.entry.tuple.id == e.id;
-                    });
-    if (inReplica) continue;
-    if (e.skyProb * replicaExternalSurvivalLocked(e.values, mask) < q) {
-      continue;
-    }
-    Candidate c;
-    c.site = id_;
-    c.localSkyProb = e.skyProb;
-    c.tuple = Tuple(e.id, std::move(e.values), e.prob);
-    response.candidates.push_back(std::move(c));
-  }
+  // BBS over the deleted tuple's dominance region only (subtrees outside it
+  // are never descended): the dominated tuples whose exact local probability
+  // passes q, kept when they are not in the replica already and their
+  // replica-based global upper bound passes q as well.
+  bbsSkylineDominatedBy(
+      tree_, {.mask = mask, .q = q}, deleted.values,
+      [&](const ProbSkylineEntry& e) {
+        const bool inReplica =
+            std::any_of(replica_.begin(), replica_.end(),
+                        [&](const ReplicaEntry& r) {
+                          return r.entry.tuple.id == e.id;
+                        });
+        if (inReplica ||
+            e.skyProb * replicaExternalSurvivalLocked(e.values, mask) < q) {
+          return true;
+        }
+        Candidate c;
+        c.site = id_;
+        c.localSkyProb = e.skyProb;
+        c.tuple = Tuple(e.id, e.values, e.prob);
+        response.candidates.push_back(std::move(c));
+        return true;
+      });
   maintAttrLocked(span, "nodes",
                   static_cast<double>(tree_.nodeAccesses() - nodesBefore));
   maintAttrLocked(span, "candidates",

@@ -148,9 +148,32 @@ void SkylineMaintainer::incrementalInsert(const UpdateEvent& event,
   const ApplyInsertResponse response =
       coordinator_.applyInsert(event.site, ApplyInsertRequest{t});
 
+  // The site answers in full space.  A subspace skyline instead takes the
+  // new tuple's own-site survival on the mask (one evaluate at its site) and
+  // its dominance relations with SKY(H), which the coordinator holds.
+  const DimMask mask = config_.effectiveMask(coordinator_.dims());
+  double localSkyProb = response.localSkyProb;
+  double upperBound = response.globalUpperBound;
+  std::vector<TupleId> dominated = response.dominatedReplica;
+  if (mask != fullMask(coordinator_.dims())) {
+    const EvaluateResponse own = coordinator_.siteById(event.site).evaluate(
+        EvaluateRequest{kNoQuery, t, mask, /*pruneLocal=*/false});
+    localSkyProb = t.prob * own.survival;
+    upperBound = localSkyProb;
+    dominated.clear();
+    for (const auto& [id, entry] : sky_) {
+      if (dominates(t.values, entry.tuple.values, mask)) {
+        dominated.push_back(id);
+      } else if (entry.site != event.site &&
+                 dominates(entry.tuple.values, t.values, mask)) {
+        upperBound *= 1.0 - entry.tuple.prob;
+      }
+    }
+  }
+
   // Exact, network-free rescale of dominated skyline members: the new tuple
   // multiplies their global probability by (1 − P(t)).
-  for (const TupleId id : response.dominatedReplica) {
+  for (const TupleId id : dominated) {
     auto it = sky_.find(id);
     if (it == sky_.end()) continue;
     it->second.globalSkyProb *= 1.0 - t.prob;
@@ -161,12 +184,11 @@ void SkylineMaintainer::incrementalInsert(const UpdateEvent& event,
   }
 
   // The new tuple itself joins only when its provable bound reaches q.
-  if (response.globalUpperBound >= config_.q) {
+  if (upperBound >= config_.q) {
     QueryStats evalStats;
-    const Candidate c{event.site, t, response.localSkyProb};
+    const Candidate c{event.site, t, localSkyProb};
     const double globalSkyProb = coordinator_.evaluateGlobally(
-        c, /*pruneLocal=*/false, evalStats,
-        config_.effectiveMask(coordinator_.dims()));
+        c, /*pruneLocal=*/false, evalStats, mask);
     stats.broadcasts += evalStats.broadcasts;
     if (globalSkyProb >= config_.q) {
       addSkyline(c, globalSkyProb);

@@ -1,6 +1,9 @@
 #include "skyline/bbs.hpp"
 
+#include <algorithm>
+#include <array>
 #include <queue>
+#include <stdexcept>
 #include <variant>
 #include <vector>
 
@@ -12,9 +15,16 @@ struct HeapItem {
   std::variant<PRTree::NodeRef, PRTree::LeafEntry> payload;
 };
 
+/// Min-heap on the key.  At equal keys nodes pop before tuples and tuples
+/// pop in id order, so tuples are emitted in (key, id) order whichever
+/// subtrees a traversal pruned: a node's key never exceeds its tuples'.
 struct HeapCompare {
   bool operator()(const HeapItem& a, const HeapItem& b) const noexcept {
-    return a.key > b.key;  // min-heap
+    if (a.key != b.key) return a.key > b.key;
+    const auto* ea = std::get_if<PRTree::LeafEntry>(&a.payload);
+    const auto* eb = std::get_if<PRTree::LeafEntry>(&b.payload);
+    if (ea == nullptr || eb == nullptr) return ea != nullptr;
+    return ea->id > eb->id;
   }
 };
 
@@ -32,8 +42,39 @@ double nodeUpperBound(const PRTree& tree, const PRTree::NodeRef& node,
          tree.dominanceSurvival(node.mbr().loSpan(), mask, clip);
 }
 
-template <typename Emit>
-void traverse(const PRTree& tree, const SkylineSpec& spec, BbsStats* stats,
+/// The same bound for the tuples of `node` inside the dominance region of
+/// `point`: they all lie at or above the clipped corner max(lo, point), so
+/// every dominator of the corner dominates each of them.
+double regionUpperBound(const PRTree& tree, const PRTree::NodeRef& node,
+                        std::span<const double> point, DimMask mask,
+                        const Rect* clip) {
+  std::array<double, kMaxDims> corner{};
+  const Rect& mbr = node.mbr();
+  for (std::size_t j = 0; j < point.size(); ++j) {
+    corner[j] = std::max(mbr.lo(j), point[j]);
+  }
+  return node.pMax() *
+         tree.dominanceSurvival({corner.data(), point.size()}, mask, clip);
+}
+
+/// False when no point of `mbr` can be dominated by `point`: the MBR ends
+/// below it on some selected dimension.
+bool reachesRegion(const Rect& mbr, std::span<const double> point,
+                   DimMask mask) noexcept {
+  for (std::size_t j = 0; j < point.size(); ++j) {
+    if ((mask >> j & 1u) != 0 && mbr.hi(j) < point[j]) return false;
+  }
+  return true;
+}
+
+/// Best-first BBS.  With kRegion the search is restricted to the tuples
+/// `point` dominates: subtrees outside that region are skipped, kept ones are
+/// bounded at their clipped corner, and only dominated tuples are candidates.
+/// Dominators still come from the whole tree, so every emitted skyProb is
+/// the one the full-space search computes.
+template <bool kRegion, typename Emit>
+void traverse(const PRTree& tree, const SkylineSpec& spec,
+              std::span<const double> point, BbsStats* stats,
               const Emit& emit) {
   if (tree.empty()) return;
   const std::size_t dims = tree.dims();
@@ -41,7 +82,19 @@ void traverse(const PRTree& tree, const SkylineSpec& spec, BbsStats* stats,
   const double q = spec.q;
   const Rect* clip = spec.clip;
 
+  // Subtrees that miss the region are never pushed, so they cost no visit.
+  const auto reaches = [&](const PRTree::NodeRef& node) {
+    if constexpr (kRegion) {
+      if (!reachesRegion(node.mbr(), point, mask)) {
+        if (stats != nullptr) ++stats->nodesPruned;
+        return false;
+      }
+    }
+    return true;
+  };
+
   std::priority_queue<HeapItem, std::vector<HeapItem>, HeapCompare> heap;
+  if (!reaches(tree.root())) return;
   heap.push(HeapItem{tree.root().mbr().l1Key(), tree.root()});
 
   while (!heap.empty()) {
@@ -72,7 +125,10 @@ void traverse(const PRTree& tree, const SkylineSpec& spec, BbsStats* stats,
       if (stats != nullptr) ++stats->nodesPruned;
       continue;
     }
-    if (nodeUpperBound(tree, node, mask, clip) < q) {
+    const double bound =
+        kRegion ? regionUpperBound(tree, node, point, mask, clip)
+                : nodeUpperBound(tree, node, mask, clip);
+    if (bound < q) {
       if (stats != nullptr) ++stats->nodesPruned;
       continue;
     }
@@ -82,6 +138,9 @@ void traverse(const PRTree& tree, const SkylineSpec& spec, BbsStats* stats,
         if (clip != nullptr && !clip->containsPoint(e.valueSpan(dims))) {
           continue;  // outside the constraint window: not a candidate
         }
+        if constexpr (kRegion) {
+          if (!dominates(point, e.valueSpan(dims), mask)) continue;
+        }
         // Cheap per-tuple filter before the exact query at pop time: the
         // node-level survival bound applies to every entry.
         heap.push(HeapItem{tupleL1Key(e, dims), e});
@@ -89,7 +148,7 @@ void traverse(const PRTree& tree, const SkylineSpec& spec, BbsStats* stats,
     } else {
       for (std::size_t i = 0; i < node.fanout(); ++i) {
         const PRTree::NodeRef child = node.child(i);
-        heap.push(HeapItem{child.mbr().l1Key(), child});
+        if (reaches(child)) heap.push(HeapItem{child.mbr().l1Key(), child});
       }
     }
   }
@@ -101,7 +160,7 @@ std::vector<ProbSkylineEntry> bbsSkyline(const PRTree& tree,
                                          const SkylineSpec& spec,
                                          BbsStats* stats) {
   std::vector<ProbSkylineEntry> result;
-  traverse(tree, spec, stats, [&](const ProbSkylineEntry& e) {
+  traverse<false>(tree, spec, {}, stats, [&](const ProbSkylineEntry& e) {
     result.push_back(e);
     return true;
   });
@@ -112,7 +171,17 @@ std::vector<ProbSkylineEntry> bbsSkyline(const PRTree& tree,
 void bbsSkylineStream(
     const PRTree& tree, const SkylineSpec& spec,
     const std::function<bool(const ProbSkylineEntry&)>& emit) {
-  traverse(tree, spec, nullptr, emit);
+  traverse<false>(tree, spec, {}, nullptr, emit);
+}
+
+void bbsSkylineDominatedBy(
+    const PRTree& tree, const SkylineSpec& spec, std::span<const double> point,
+    const std::function<bool(const ProbSkylineEntry&)>& emit,
+    BbsStats* stats) {
+  if (point.size() != tree.dims()) {
+    throw std::invalid_argument("bbsSkylineDominatedBy: bad dimensionality");
+  }
+  traverse<true>(tree, spec, point, stats, emit);
 }
 
 }  // namespace dsud

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 
 #include "index/prtree.hpp"
 #include "skyline/skyline_result.hpp"
@@ -43,5 +44,17 @@ std::vector<ProbSkylineEntry> bbsSkyline(const PRTree& tree,
 void bbsSkylineStream(
     const PRTree& tree, const SkylineSpec& spec,
     const std::function<bool(const ProbSkylineEntry&)>& emit);
+
+/// bbsSkylineStream restricted to the tuples that `point` dominates on
+/// `spec.mask` — the region a deleted tuple leaves to repair (paper
+/// Sec. 5.4).  Emits exactly the full-space stream's entries that `point`
+/// dominates, in the same order and with bit-identical skyProb, but descends
+/// only into subtrees that reach the region and bounds each one at the
+/// clipped corner max(mbr.lo, point).  `point` must have tree.dims()
+/// values (std::invalid_argument otherwise).
+void bbsSkylineDominatedBy(
+    const PRTree& tree, const SkylineSpec& spec, std::span<const double> point,
+    const std::function<bool(const ProbSkylineEntry&)>& emit,
+    BbsStats* stats = nullptr);
 
 }  // namespace dsud

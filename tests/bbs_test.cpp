@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 #include <tuple>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "gen/synthetic.hpp"
 #include "skyline/linear_skyline.hpp"
 #include "test_util.hpp"
@@ -160,6 +164,171 @@ TEST(BbsTest, WorksOnDynamicallyBuiltTree) {
   }
   EXPECT_EQ(testutil::idsOf(bbsSkyline(tree, {.q = 0.3})),
             testutil::idsOf(linearSkyline(data, {.q = 0.3})));
+}
+
+
+// ---------------------------------------------------------------------------
+// Region-restricted search (delete repair, paper Sec. 5.4)
+
+/// Anticorrelated data snapped to an integer grid of 6 steps per dimension:
+/// many tuples share values, and many skyline tuples share an L1 key, so
+/// dominance ties and heap-key ties are the rule, not the exception.
+Dataset integerGrid(std::size_t n, std::size_t dims, std::uint64_t seed) {
+  const Dataset smooth = generateSynthetic(
+      SyntheticSpec{n, dims, ValueDistribution::kAnticorrelated, seed});
+  Dataset data(dims);
+  std::vector<double> v(dims);
+  for (std::size_t row = 0; row < smooth.size(); ++row) {
+    const auto values = smooth.values(row);
+    for (std::size_t j = 0; j < dims; ++j) v[j] = std::round(values[j] * 5.0);
+    data.add(v, smooth.prob(row));
+  }
+  return data;
+}
+
+/// The full-space stream filtered by dominance: the reference the region
+/// search must reproduce.
+std::vector<ProbSkylineEntry> filteredFullSpace(const PRTree& tree,
+                                                const SkylineSpec& spec,
+                                                std::span<const double> p) {
+  const DimMask mask = effectiveMask(spec.mask, tree.dims());
+  std::vector<ProbSkylineEntry> out;
+  bbsSkylineStream(tree, spec, [&](const ProbSkylineEntry& e) {
+    if (dominates(p, e.values, mask)) out.push_back(e);
+    return true;
+  });
+  return out;
+}
+
+std::vector<ProbSkylineEntry> regionSearch(const PRTree& tree,
+                                           const SkylineSpec& spec,
+                                           std::span<const double> p,
+                                           BbsStats* stats = nullptr) {
+  std::vector<ProbSkylineEntry> out;
+  bbsSkylineDominatedBy(
+      tree, spec, p,
+      [&](const ProbSkylineEntry& e) {
+        out.push_back(e);
+        return true;
+      },
+      stats);
+  return out;
+}
+
+/// Delete points on the frontier (the lowest-key tuples: skyline members
+/// and their neighbours) and far from it (the highest-key tuples).
+std::vector<std::vector<double>> probePoints(const Dataset& data) {
+  std::vector<std::size_t> rows(data.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = i;
+  const auto key = [&](std::size_t row) {
+    double s = 0.0;
+    for (const double x : data.values(row)) s += x;
+    return s;
+  };
+  std::sort(rows.begin(), rows.end(), [&](std::size_t a, std::size_t b) {
+    return key(a) < key(b);
+  });
+  std::vector<std::vector<double>> points;
+  for (const std::size_t row : {rows[0], rows[1], rows[5], rows[rows.size() / 2],
+                                rows[rows.size() - 8], rows.back()}) {
+    const auto v = data.values(row);
+    points.emplace_back(v.begin(), v.end());
+  }
+  return points;
+}
+
+struct RegionCase {
+  const char* name;
+  ValueDistribution dist;
+  bool grid;
+};
+
+class BbsRegionTest : public ::testing::TestWithParam<RegionCase> {};
+
+TEST_P(BbsRegionTest, MatchesFilteredFullSpaceSearchExactly) {
+  const RegionCase& c = GetParam();
+  for (std::size_t dims = 2; dims <= 4; ++dims) {
+    const std::uint64_t seed = 600 + dims;
+    const Dataset data =
+        c.grid ? integerGrid(700, dims, seed)
+               : generateSynthetic(SyntheticSpec{700, dims, c.dist, seed});
+    const PRTree tree = PRTree::bulkLoad(data);
+    const auto points = probePoints(data);
+    for (DimMask mask = 1; mask <= fullMask(dims); ++mask) {
+      for (const double q : {0.1, 0.3, 0.5}) {
+        const SkylineSpec spec{.mask = mask, .q = q};
+        for (std::size_t p = 0; p < points.size(); ++p) {
+          const auto want = filteredFullSpace(tree, spec, points[p]);
+          const auto got = regionSearch(tree, spec, points[p]);
+          const std::string where = "d=" + std::to_string(dims) +
+                                    " mask=" + std::to_string(mask) +
+                                    " q=" + std::to_string(q) +
+                                    " point=" + std::to_string(p);
+          ASSERT_EQ(got.size(), want.size()) << where;
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i].id, want[i].id) << where << " rank " << i;
+            // Bit-identical: both come from the same whole-tree survival.
+            ASSERT_EQ(got[i].skyProb, want[i].skyProb) << where;
+            ASSERT_EQ(got[i].values, want[i].values) << where;
+            ASSERT_EQ(got[i].prob, want[i].prob) << where;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(BbsRegionTest, FarFromFrontierVisitsFewerNodes) {
+  const RegionCase& c = GetParam();
+  for (std::size_t dims = 2; dims <= 4; ++dims) {
+    const std::uint64_t seed = 620 + dims;
+    const Dataset data =
+        c.grid ? integerGrid(3000, dims, seed)
+               : generateSynthetic(SyntheticSpec{3000, dims, c.dist, seed});
+    const PRTree tree = PRTree::bulkLoad(data);
+    const auto far = probePoints(data).back();
+    const SkylineSpec spec{.q = 0.3};
+    BbsStats full;
+    bbsSkyline(tree, spec, &full);
+    BbsStats region;
+    regionSearch(tree, spec, far, &region);
+    EXPECT_LT(region.nodesVisited, full.nodesVisited) << "d=" << dims;
+    EXPECT_LE(region.tuplesEvaluated, full.tuplesEvaluated) << "d=" << dims;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Data, BbsRegionTest,
+    ::testing::Values(
+        RegionCase{"independent", ValueDistribution::kIndependent, false},
+        RegionCase{"anticorrelated", ValueDistribution::kAnticorrelated,
+                   false},
+        RegionCase{"grid", ValueDistribution::kIndependent, true}),
+    [](const ::testing::TestParamInfo<RegionCase>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(BbsTest, RegionSearchOnMaintainedTreeAfterErase) {
+  // The repair runs on a tree that has just lost the deleted tuple.
+  const Dataset data = generateSynthetic(
+      SyntheticSpec{800, 3, ValueDistribution::kIndependent, 640});
+  PRTree tree = PRTree::bulkLoad(data);
+  const auto points = probePoints(data);
+  for (std::size_t row = 0; row < data.size(); row += 7) {
+    ASSERT_TRUE(tree.erase(data.id(row), data.values(row)));
+  }
+  for (const auto& p : points) {
+    const SkylineSpec spec{.q = 0.3};
+    EXPECT_EQ(testutil::idsOf(regionSearch(tree, spec, p)),
+              testutil::idsOf(filteredFullSpace(tree, spec, p)));
+  }
+}
+
+TEST(BbsTest, RegionSearchRejectsBadDimensionality) {
+  const PRTree tree = PRTree::bulkLoad(generateSynthetic(
+      SyntheticSpec{50, 3, ValueDistribution::kIndependent, 641}));
+  const std::vector<double> p = {0.5, 0.5};
+  EXPECT_THROW(regionSearch(tree, {.q = 0.3}, p), std::invalid_argument);
 }
 
 }  // namespace

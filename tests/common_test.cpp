@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/options.hpp"
 #include "common/stopwatch.hpp"
@@ -77,6 +79,44 @@ TEST(ArgParserTest, EmptyValueAllowed) {
   const ArgParser args(2, argv);
   EXPECT_TRUE(args.has("out"));
   EXPECT_EQ(args.get("out", "def"), "");
+}
+
+TEST(ArgParserTest, ReportsUnreadFlagsAndBadValues) {
+  const char* argv[] = {"prog", "trace", "--in=d.bin", "--slow-dir=/tmp/x",
+                        "--m=5", "--verbose"};
+  const ArgParser args(6, argv);
+  // Nothing read yet: every flag is unread, in key order.
+  EXPECT_EQ(args.unread(),
+            (std::vector<std::string>{"in", "m", "slow-dir", "verbose"}));
+  EXPECT_EQ(args.get("in", ""), "d.bin");
+  EXPECT_EQ(args.getInt("m", 6), 5);
+  EXPECT_TRUE(args.has("verbose"));
+  EXPECT_EQ(args.getInt("absent", 7), 7);  // absent keys are not flags
+  EXPECT_EQ(args.unread(), (std::vector<std::string>{"slow-dir"}));
+  EXPECT_EQ(args.problem(), "unknown flag --slow-dir");
+  // Positional words are not flags.
+  EXPECT_EQ(args.positional(), (std::vector<std::string>{"trace"}));
+
+  const char* clean[] = {"prog", "--n=3"};
+  const ArgParser ok(2, clean);
+  EXPECT_EQ(ok.getInt("n", 0), 3);
+  EXPECT_TRUE(ok.unread().empty());
+  EXPECT_FALSE(ok.problem().has_value());
+}
+
+TEST(ArgParserTest, ReportsMalformedNumbersBeforeUnreadFlags) {
+  const char* argv[] = {"prog", "--typo=1", "--n=12x", "--q=oops", "--m=4"};
+  const ArgParser args(5, argv);
+  EXPECT_EQ(args.getInt("n", 9), 9);         // still falls back ...
+  EXPECT_EQ(args.getDouble("q", 0.1), 0.1);
+  EXPECT_EQ(args.getInt("m", 0), 4);
+  // ... but the first malformed value is reported, ahead of --typo.
+  EXPECT_EQ(args.problem(), "bad value --n=12x: expected an integer");
+
+  const char* doubles[] = {"prog", "--q=oops"};
+  const ArgParser q(2, doubles);
+  EXPECT_EQ(q.getDouble("q", 0.1), 0.1);
+  EXPECT_EQ(q.problem(), "bad value --q=oops: expected a number");
 }
 
 // ---------------------------------------------------------------------------

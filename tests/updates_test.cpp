@@ -31,23 +31,24 @@ struct Mirror {
     }
   }
 
-  std::vector<TupleId> truthIds(double q) const {
-    return testutil::idsOf(testutil::groundTruth(sites, q));
+  std::vector<TupleId> truthIds(double q, DimMask mask = kAllDims) const {
+    return testutil::idsOf(testutil::groundTruth(sites, q, mask));
   }
 };
 
 void expectSkylineMatchesTruth(const SkylineMaintainer& maintainer,
                                const Mirror& mirror, double q,
-                               const std::string& context) {
+                               const std::string& context,
+                               DimMask mask = kAllDims) {
   auto got = maintainer.skyline();
   auto gotIds = testutil::idsOf(got);
   std::sort(gotIds.begin(), gotIds.end());
-  auto want = mirror.truthIds(q);
+  auto want = mirror.truthIds(q, mask);
   std::sort(want.begin(), want.end());
   EXPECT_EQ(gotIds, want) << context;
   // Also verify the cached probabilities are exact.
   const Dataset global = testutil::unionOf(mirror.sites);
-  const auto probs = skylineProbabilitiesLinear(global);
+  const auto probs = skylineProbabilitiesLinear(global, {.mask = mask});
   for (const GlobalSkylineEntry& e : got) {
     const auto row = global.rowOf(e.tuple.id);
     ASSERT_TRUE(row.has_value()) << context;
@@ -55,19 +56,24 @@ void expectSkylineMatchesTruth(const SkylineMaintainer& maintainer,
   }
 }
 
-std::vector<Dataset> initialSites(std::uint64_t seed, std::size_t n = 400,
-                                  std::size_t m = 4) {
-  const Dataset global = generateSynthetic(
-      SyntheticSpec{n, 2, ValueDistribution::kIndependent, seed});
+std::vector<Dataset> initialSites(
+    std::uint64_t seed, std::size_t n = 400, std::size_t m = 4,
+    std::size_t dims = 2,
+    ValueDistribution dist = ValueDistribution::kIndependent) {
+  const Dataset global =
+      generateSynthetic(SyntheticSpec{n, dims, dist, seed});
   Rng rng(seed + 1);
   return partitionUniform(global, m, rng);
 }
 
-UpdateEvent randomInsert(Rng& rng, std::size_t m, TupleId id) {
+UpdateEvent randomInsert(Rng& rng, std::size_t m, TupleId id,
+                         std::size_t dims = 2) {
   UpdateEvent e;
   e.kind = UpdateEvent::Kind::kInsert;
   e.site = static_cast<SiteId>(rng.below(m));
-  e.tuple = Tuple{id, {rng.uniform(), rng.uniform()}, rng.existentialUniform()};
+  std::vector<double> values(dims);
+  for (double& v : values) v = rng.uniform();
+  e.tuple = Tuple{id, std::move(values), rng.existentialUniform()};
   return e;
 }
 
@@ -230,16 +236,26 @@ TEST(UpdatesTest, DeleteOfMissingTupleIsNoOp) {
   expectSkylineMatchesTruth(maintainer, mirror, kQ, "missing delete");
 }
 
+/// Data shape of one update stream: dimensionality, value distribution and
+/// the maintained skyline's subspace.
+struct StreamShape {
+  const char* name;
+  std::size_t dims;
+  ValueDistribution dist;
+  DimMask mask;
+};
+
 class UpdateStreamTest
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t,
-                                                 MaintenanceStrategy>> {};
+    : public ::testing::TestWithParam<
+          std::tuple<StreamShape, std::uint64_t, MaintenanceStrategy>> {};
 
 TEST_P(UpdateStreamTest, RandomStreamStaysExact) {
-  const auto [seed, strategy] = GetParam();
-  auto sites = initialSites(seed, 300, 4);
+  const auto [shape, seed, strategy] = GetParam();
+  auto sites = initialSites(seed, 300, 4, shape.dims, shape.dist);
   InProcCluster cluster(Topology::fromPartitions(sites));
   QueryConfig config;
   config.q = kQ;
+  config.mask = shape.mask;
   SkylineMaintainer maintainer(cluster.coordinator(), config, strategy);
   maintainer.initialize();
   Mirror mirror(std::move(sites));
@@ -250,7 +266,7 @@ TEST_P(UpdateStreamTest, RandomStreamStaysExact) {
     UpdateEvent e;
     const bool doInsert = rng.uniform() < 0.5;
     if (doInsert) {
-      e = randomInsert(rng, 4, nextId++);
+      e = randomInsert(rng, 4, nextId++, shape.dims);
     } else {
       // Delete a random existing tuple from a random non-empty site.
       SiteId site = static_cast<SiteId>(rng.below(4));
@@ -269,20 +285,28 @@ TEST_P(UpdateStreamTest, RandomStreamStaysExact) {
     maintainer.apply(e);
     if (step % 8 == 7) {
       expectSkylineMatchesTruth(maintainer, mirror, kQ,
-                                "step " + std::to_string(step));
+                                "step " + std::to_string(step), shape.mask);
     }
   }
-  expectSkylineMatchesTruth(maintainer, mirror, kQ, "final");
+  expectSkylineMatchesTruth(maintainer, mirror, kQ, "final", shape.mask);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Streams, UpdateStreamTest,
-    ::testing::Combine(::testing::Values(80u, 81u, 82u),
-                       ::testing::Values(MaintenanceStrategy::kIncremental,
-                                         MaintenanceStrategy::kNaiveRecompute)),
+    ::testing::Combine(
+        ::testing::Values(
+            StreamShape{"ind2d", 2, ValueDistribution::kIndependent, kAllDims},
+            StreamShape{"anti3d", 3, ValueDistribution::kAnticorrelated,
+                        kAllDims},
+            StreamShape{"ind3d_mask01", 3, ValueDistribution::kIndependent,
+                        DimMask{0b011}}),
+        ::testing::Values(80u, 81u, 82u),
+        ::testing::Values(MaintenanceStrategy::kIncremental,
+                          MaintenanceStrategy::kNaiveRecompute)),
     [](const auto& info) {
-      return std::string("seed") + std::to_string(std::get<0>(info.param)) +
-             (std::get<1>(info.param) == MaintenanceStrategy::kIncremental
+      return std::string(std::get<0>(info.param).name) + "_seed" +
+             std::to_string(std::get<1>(info.param)) +
+             (std::get<2>(info.param) == MaintenanceStrategy::kIncremental
                   ? "_incremental"
                   : "_naive");
     });

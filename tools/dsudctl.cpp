@@ -3,7 +3,6 @@
 //   dsudctl generate --out=data.bin [--n=100000] [--d=3] [--seed=1]
 //                    [--dist=independent|correlated|anticorrelated|nyse]
 //                    [--probs=uniform|gaussian] [--mu=0.5] [--sigma=0.2]
-//                    [--format=bin|csv]
 //   dsudctl inspect  --in=data.bin
 //   dsudctl query    --in=data.bin [--algo=edsud|dsud|naive] [--m=10]
 //                    [--q=0.3] [--k=0] [--mask=0] [--seed=1] [--limit=20]
@@ -86,8 +85,10 @@
 // Exit code is the worst outcome across the burst.
 //
 // Files use the binary format of common/io.hpp unless the extension is
-// .csv.  Exit code 0 on success, 1 on usage errors, 2 on runtime errors,
-// 3 when the query completed degraded (one or more sites excluded).
+// .csv.  Exit code 0 on success, 1 on usage errors, 2 on runtime errors and
+// on a flag the command does not know or a number that does not parse
+// (checked before the command does any work), 3 when the query completed
+// degraded (one or more sites excluded).
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -134,6 +135,16 @@ void saveAny(const Dataset& data, const std::string& path) {
   }
 }
 
+/// Once a command has read every flag it uses: 2 after naming the first
+/// unknown flag or malformed number on stderr, 0 when there is none.
+int badFlags(const ArgParser& args) {
+  if (const auto problem = args.problem()) {
+    std::fprintf(stderr, "dsudctl: %s\n", problem->c_str());
+    return 2;
+  }
+  return 0;
+}
+
 int usage() {
   std::fprintf(
       stderr,
@@ -153,12 +164,14 @@ int cmdGenerate(const ArgParser& args) {
   const auto n = static_cast<std::size_t>(args.getInt("n", 100000));
   const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
   const std::string dist = args.get("dist", "independent");
+  const auto dims = static_cast<std::size_t>(args.getInt("d", 3));
+  const std::string probsName = args.get("probs", "uniform");
+  const double mu = args.getDouble("mu", 0.5);
+  const double sigma = args.getDouble("sigma", 0.2);
+  if (const int rc = badFlags(args)) return rc;
 
   ProbSampler probs = uniformProbability();
-  if (args.get("probs", "uniform") == "gaussian") {
-    probs = gaussianProbability(args.getDouble("mu", 0.5),
-                                args.getDouble("sigma", 0.2));
-  }
+  if (probsName == "gaussian") probs = gaussianProbability(mu, sigma);
 
   Dataset data(1);
   if (dist == "nyse") {
@@ -169,7 +182,7 @@ int cmdGenerate(const ArgParser& args) {
   } else {
     SyntheticSpec spec;
     spec.n = n;
-    spec.dims = static_cast<std::size_t>(args.getInt("d", 3));
+    spec.dims = dims;
     spec.seed = seed;
     if (dist == "correlated") {
       spec.dist = ValueDistribution::kCorrelated;
@@ -193,6 +206,7 @@ int cmdInspect(const ArgParser& args) {
     std::fprintf(stderr, "inspect: --in=<path> is required\n");
     return 1;
   }
+  if (const int rc = badFlags(args)) return rc;
   const Dataset data = loadAny(in);
   std::printf("%s: %zu tuples, %zu dimensions\n", in.c_str(), data.size(),
               data.dims());
@@ -322,11 +336,10 @@ std::string httpGet(std::uint16_t port, const std::string& path) {
 /// `query --connect --repeat/--mix`: pipeline a whole burst of queries on
 /// one connection and report one aggregate summary.  `requests` already
 /// carries unique ids.
-int runQueryBurst(const ArgParser& args,
+int runQueryBurst(std::uint16_t port,
                   const std::vector<dsud::server::QueryRequest>& requests) {
   namespace srv = dsud::server;
 
-  const auto port = static_cast<std::uint16_t>(args.getInt("connect", 0));
   const Socket socket = connectTo(port, std::chrono::milliseconds{2000});
 
   std::string outbound;
@@ -464,6 +477,8 @@ int cmdQueryConnect(const ArgParser& args) {
   const auto repeat =
       static_cast<std::size_t>(std::max<std::int64_t>(args.getInt("repeat", 1), 1));
   const std::string mixPath = args.get("mix", "");
+  const auto port = static_cast<std::uint16_t>(args.getInt("connect", 0));
+  if (const int rc = badFlags(args)) return rc;
   if (repeat > 1 || !mixPath.empty()) {
     std::vector<srv::QueryRequest> round;
     if (!mixPath.empty()) {
@@ -483,10 +498,9 @@ int cmdQueryConnect(const ArgParser& args) {
         burst.push_back(std::move(copy));
       }
     }
-    return runQueryBurst(args, burst);
+    return runQueryBurst(port, burst);
   }
 
-  const auto port = static_cast<std::uint16_t>(args.getInt("connect", 0));
   const Socket socket = connectTo(port, std::chrono::milliseconds{2000});
   writeAll(socket, srv::encodeRequest(request) + "\n");
 
@@ -546,11 +560,14 @@ int cmdQuery(const ArgParser& args) {
     std::fprintf(stderr, "query: --in=<path> is required\n");
     return 1;
   }
-  const Dataset data = loadAny(in);
   const auto m = static_cast<std::size_t>(args.getInt("m", 10));
   const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
   const auto k = static_cast<std::size_t>(args.getInt("k", 0));
   const std::string algo = args.get("algo", "edsud");
+  const double q = args.getDouble("q", k > 0 ? 1e-3 : 0.3);
+  const auto mask = static_cast<DimMask>(args.getInt("mask", 0));
+  const auto limitFlag = static_cast<std::size_t>(args.getInt("limit", 20));
+  const bool profile = args.has("profile");
 
   QueryOptions options;
   options.fault.deadline =
@@ -570,19 +587,21 @@ int cmdQuery(const ArgParser& args) {
     clusterConfig.chaos =
         ChaosSpec{.killAfter = 1, .onlySite = static_cast<SiteId>(kill)};
   }
+  if (const int rc = badFlags(args)) return rc;
+  const Dataset data = loadAny(in);
   InProcCluster cluster(Topology::uniform(data, m, seed), clusterConfig);
 
   QueryResult result;
   if (k > 0) {
     TopKConfig config;
     config.k = k;
-    config.floorQ = args.getDouble("q", 1e-3);
-    config.mask = static_cast<DimMask>(args.getInt("mask", 0));
+    config.floorQ = q;
+    config.mask = mask;
     result = cluster.engine().runTopK(config, options);
   } else {
     QueryConfig config;
-    config.q = args.getDouble("q", 0.3);
-    config.mask = static_cast<DimMask>(args.getInt("mask", 0));
+    config.q = q;
+    config.mask = mask;
     if (algo == "edsud") {
       result = cluster.engine().runEdsud(config, options);
     } else if (algo == "dsud") {
@@ -604,9 +623,7 @@ int cmdQuery(const ArgParser& args) {
               static_cast<unsigned long long>(result.stats.roundTrips),
               result.stats.seconds * 1e3, m);
 
-  const auto limit =
-      std::min<std::size_t>(result.skyline.size(),
-                            static_cast<std::size_t>(args.getInt("limit", 20)));
+  const auto limit = std::min(result.skyline.size(), limitFlag);
   for (std::size_t i = 0; i < limit; ++i) {
     printEntry(i + 1, result.skyline[i]);
   }
@@ -614,7 +631,7 @@ int cmdQuery(const ArgParser& args) {
     std::printf("  ... %zu more (raise --limit)\n",
                 result.skyline.size() - limit);
   }
-  if (args.has("profile")) printProfile(result.profile);
+  if (profile) printProfile(result.profile);
   if (result.degraded) {
     std::fprintf(stderr, "warning: degraded result — excluded site(s):");
     for (const SiteId site : result.excludedSites) {
@@ -641,11 +658,11 @@ int cmdAdmin(const ArgParser& args) {
   const std::string& action = args.positional()[1];
   srv::AdminRequest request;
   request.id = args.get("id", "a1");
+  const std::int64_t site = args.getInt("site", -1);
   if (action == "add-site") {
     request.action = srv::AdminAction::kAddSite;
   } else if (action == "remove-site") {
     request.action = srv::AdminAction::kRemoveSite;
-    const std::int64_t site = args.getInt("site", -1);
     if (site < 0) {
       std::fprintf(stderr, "admin: remove-site needs --site=<id>\n");
       return 1;
@@ -663,8 +680,9 @@ int cmdAdmin(const ArgParser& args) {
     std::fprintf(stderr, "admin: --connect=<port> is required\n");
     return 1;
   }
-
   const auto port = static_cast<std::uint16_t>(args.getInt("connect", 0));
+  if (const int rc = badFlags(args)) return rc;
+
   const Socket socket = connectTo(port, std::chrono::milliseconds{2000});
   writeAll(socket, srv::encodeRequest(request) + "\n");
 
@@ -725,6 +743,7 @@ int cmdDebug(const ArgParser& args) {
     return 1;
   }
   const auto port = static_cast<std::uint16_t>(args.getInt("connect", 0));
+  if (const int rc = badFlags(args)) return rc;
   const std::string body = httpGet(port, "/debug/" + what);
   std::fwrite(body.data(), 1, body.size(), stdout);
   return 0;
@@ -735,6 +754,7 @@ int cmdMetrics(const ArgParser& args) {
     // Live mode: scrape the daemon's own registry instead of running a
     // local query — same exposition Prometheus sees.
     const auto port = static_cast<std::uint16_t>(args.getInt("connect", 0));
+    if (const int rc = badFlags(args)) return rc;
     const std::string body = httpGet(port, "/metrics");
     std::fwrite(body.data(), 1, body.size(), stdout);
     return 0;
@@ -744,28 +764,31 @@ int cmdMetrics(const ArgParser& args) {
     std::fprintf(stderr, "metrics: --in=<path> is required\n");
     return 1;
   }
-  const Dataset data = loadAny(in);
   const auto m = static_cast<std::size_t>(args.getInt("m", 10));
   const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
   const auto k = static_cast<std::size_t>(args.getInt("k", 0));
   const std::string algo = args.get("algo", "edsud");
+  const double q = args.getDouble("q", k > 0 ? 1e-3 : 0.3);
+  const std::string tracePath = args.get("trace-out", "");
   const std::string format = args.get("format", "prom");
   if (format != "prom" && format != "json") {
     std::fprintf(stderr, "metrics: unknown --format=%s\n", format.c_str());
     return 1;
   }
+  if (const int rc = badFlags(args)) return rc;
 
+  const Dataset data = loadAny(in);
   InProcCluster cluster(Topology::uniform(data, m, seed));
 
   QueryResult result;
   if (k > 0) {
     TopKConfig config;
     config.k = k;
-    config.floorQ = args.getDouble("q", 1e-3);
+    config.floorQ = q;
     result = cluster.engine().runTopK(config);
   } else {
     QueryConfig config;
-    config.q = args.getDouble("q", 0.3);
+    config.q = q;
     if (algo == "edsud") {
       result = cluster.engine().runEdsud(config);
     } else if (algo == "dsud") {
@@ -785,8 +808,7 @@ int cmdMetrics(const ArgParser& args) {
                                : obs::metricsToPrometheus(snapshot);
   std::fwrite(text.data(), 1, text.size(), stdout);
 
-  if (const std::string tracePath = args.get("trace-out", "");
-      !tracePath.empty()) {
+  if (!tracePath.empty()) {
     const std::string traceJson = obs::traceToJson(result.trace);
     std::FILE* f = std::fopen(tracePath.c_str(), "w");
     if (f == nullptr) {
@@ -818,7 +840,6 @@ int cmdTrace(const ArgParser& args) {
     std::fprintf(stderr, "trace: --in=<path> and --out=<path> are required\n");
     return 1;
   }
-  const Dataset data = loadAny(in);
   const auto m = static_cast<std::size_t>(args.getInt("m", 6));
   const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
   const std::string algo = args.get("algo", "edsud");
@@ -836,7 +857,9 @@ int cmdTrace(const ArgParser& args) {
 
   QueryConfig config;
   config.q = args.getDouble("q", 0.3);
+  if (const int rc = badFlags(args)) return rc;
 
+  const Dataset data = loadAny(in);
   QueryResult result;
   if (transportKind == "tcp") {
     // Real loopback sockets: one server thread per site, the coordinator
@@ -911,6 +934,7 @@ int cmdConvert(const ArgParser& args) {
     std::fprintf(stderr, "convert: --in and --out are required\n");
     return 1;
   }
+  if (const int rc = badFlags(args)) return rc;
   const Dataset data = loadAny(in);
   saveAny(data, out);
   std::printf("converted %zu tuples: %s -> %s\n", data.size(), in.c_str(),

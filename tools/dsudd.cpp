@@ -57,7 +57,9 @@
 // listeners are bound, so scripts (the CI server-smoke job) can use
 // --port=0 and discover the chosen ports race-free.
 //
-// Exit code 0 on a clean shutdown, 1 on usage errors, 2 on runtime errors.
+// Exit code 0 on a clean shutdown, 1 on usage errors, 2 on runtime errors
+// and on a flag dsudd does not know or a number that does not parse
+// (checked before the daemon does any work).
 #include <unistd.h>
 
 #include <csignal>
@@ -104,23 +106,19 @@ bool endsWith(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-Dataset loadOrGenerate(const ArgParser& args) {
-  if (const std::string in = args.get("in", ""); !in.empty()) {
+/// The --in file, or the synthetic --n/--d/--seed/--dist dataset.
+Dataset loadOrGenerate(const std::string& in, const SyntheticSpec& synthetic,
+                       const std::string& dist) {
+  if (!in.empty()) {
     return endsWith(in, ".csv") ? loadDatasetCsv(in) : loadDatasetBinary(in);
   }
-  const auto n = static_cast<std::size_t>(args.getInt("n", 20000));
-  const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
-  const std::string dist = args.get("dist", "independent");
   if (dist == "nyse") {
     NyseSpec spec;
-    spec.n = n;
-    spec.seed = seed;
+    spec.n = synthetic.n;
+    spec.seed = synthetic.seed;
     return generateNyse(spec, uniformProbability());
   }
-  SyntheticSpec spec;
-  spec.n = n;
-  spec.dims = static_cast<std::size_t>(args.getInt("d", 3));
-  spec.seed = seed;
+  SyntheticSpec spec = synthetic;
   if (dist == "correlated") {
     spec.dist = ValueDistribution::kCorrelated;
   } else if (dist == "anticorrelated") {
@@ -132,62 +130,35 @@ Dataset loadOrGenerate(const ArgParser& args) {
 }
 
 int run(const ArgParser& args) {
-  // Recorder sizing must land before the first event is emitted anywhere —
-  // the ring is built at first use and never resized.
-  if (const std::int64_t cap = args.getInt("recorder-capacity", 0); cap > 0) {
-    obs::configureFlightRecorder(static_cast<std::size_t>(cap));
-  }
-  obs::FlightRecorder& recorder = obs::flightRecorder();
-  if (const std::string dir = args.get("recorder-dir", ""); !dir.empty()) {
-    recorder.setDumpDir(dir);
-  }
-  if (const double windowS = args.getDouble("recorder-window-s", 0.0);
-      windowS > 0.0) {
-    recorder.setWindowSeconds(windowS);
-  }
+  // Every flag is read before anything happens, so an unknown flag or a
+  // malformed number stops the daemon before it binds a port.
+  const std::int64_t recorderCapacity = args.getInt("recorder-capacity", 0);
+  const std::string recorderDir = args.get("recorder-dir", "");
+  const double recorderWindowS = args.getDouble("recorder-window-s", 0.0);
   const std::string levelName = args.get("log-level", "info");
-  if (levelName == "debug") {
-    obs::eventLog().setLevel(LogLevel::kDebug);
-  } else if (levelName == "info") {
-    obs::eventLog().setLevel(LogLevel::kInfo);
-  } else if (levelName == "warn") {
-    obs::eventLog().setLevel(LogLevel::kWarn);
-  } else if (levelName == "error") {
-    obs::eventLog().setLevel(LogLevel::kError);
-  } else {
-    std::fprintf(stderr, "dsudd: unknown --log-level=%s\n", levelName.c_str());
-    return 1;
-  }
-  if (const std::string logFile = args.get("log-file", ""); !logFile.empty()) {
-    auto sink = std::make_shared<obs::FileSink>(logFile);
-    if (!sink->ok()) {
-      std::fprintf(stderr, "dsudd: cannot open --log-file=%s\n",
-                   logFile.c_str());
-      return 2;
-    }
-    obs::eventLog().addSink(std::move(sink));
-  }
+  const std::string logFile = args.get("log-file", "");
 
-  const Dataset data = loadOrGenerate(args);
+  const std::string in = args.get("in", "");
+  SyntheticSpec synthetic;
+  synthetic.n = static_cast<std::size_t>(args.getInt("n", 20000));
+  synthetic.dims = static_cast<std::size_t>(args.getInt("d", 3));
+  synthetic.seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
+  const std::string dist = args.get("dist", "independent");
   const auto m = static_cast<std::size_t>(args.getInt("m", 10));
-  const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 1));
+  const std::uint64_t seed = synthetic.seed;
   const auto replicas =
       static_cast<std::size_t>(args.getInt("replicas", 1));
 
   ClusterConfig clusterConfig;
-  if (const std::int64_t killAfter = args.getInt("chaos-kill-after", 0);
-      killAfter > 0) {
+  const std::int64_t killAfter = args.getInt("chaos-kill-after", 0);
+  const std::int64_t killSite = args.getInt("chaos-kill-site", -1);
+  if (killAfter > 0) {
     ChaosSpec chaos;
     chaos.killAfter = static_cast<std::uint32_t>(killAfter);
     chaos.seed = seed;
-    if (const std::int64_t site = args.getInt("chaos-kill-site", -1);
-        site >= 0) {
-      chaos.onlySite = static_cast<SiteId>(site);
-    }
+    if (killSite >= 0) chaos.onlySite = static_cast<SiteId>(killSite);
     clusterConfig.chaos = chaos;
   }
-  InProcCluster cluster(Topology::uniform(data, m, seed, replicas),
-                        clusterConfig);
 
   server::ServerConfig config;
   config.port = static_cast<std::uint16_t>(args.getInt("port", 7411));
@@ -208,6 +179,46 @@ int run(const ArgParser& args) {
     config.batching.enabled = true;
     config.batching.windowSeconds = batchWindowMs / 1e3;
   }
+  const std::string portFile = args.get("port-file", "");
+  if (const auto problem = args.problem()) {
+    std::fprintf(stderr, "dsudd: %s\n", problem->c_str());
+    return 2;
+  }
+
+  // Recorder sizing must land before the first event is emitted anywhere —
+  // the ring is built at first use and never resized.
+  if (recorderCapacity > 0) {
+    obs::configureFlightRecorder(static_cast<std::size_t>(recorderCapacity));
+  }
+  obs::FlightRecorder& recorder = obs::flightRecorder();
+  if (!recorderDir.empty()) recorder.setDumpDir(recorderDir);
+  if (recorderWindowS > 0.0) recorder.setWindowSeconds(recorderWindowS);
+  if (levelName == "debug") {
+    obs::eventLog().setLevel(LogLevel::kDebug);
+  } else if (levelName == "info") {
+    obs::eventLog().setLevel(LogLevel::kInfo);
+  } else if (levelName == "warn") {
+    obs::eventLog().setLevel(LogLevel::kWarn);
+  } else if (levelName == "error") {
+    obs::eventLog().setLevel(LogLevel::kError);
+  } else {
+    std::fprintf(stderr, "dsudd: unknown --log-level=%s\n", levelName.c_str());
+    return 1;
+  }
+  if (!logFile.empty()) {
+    auto sink = std::make_shared<obs::FileSink>(logFile);
+    if (!sink->ok()) {
+      std::fprintf(stderr, "dsudd: cannot open --log-file=%s\n",
+                   logFile.c_str());
+      return 2;
+    }
+    obs::eventLog().addSink(std::move(sink));
+  }
+
+  const Dataset data = loadOrGenerate(in, synthetic, dist);
+  InProcCluster cluster(Topology::uniform(data, m, seed, replicas),
+                        clusterConfig);
+
   config.admin.addSite = [&cluster] { return cluster.addSite(); };
   config.admin.removeSite = [&cluster](SiteId id) { cluster.removeSite(id); };
   config.admin.rebalance = [&cluster] { cluster.rebalance(); };
@@ -217,8 +228,7 @@ int run(const ArgParser& args) {
                              config);
   server.start();
 
-  if (const std::string portFile = args.get("port-file", "");
-      !portFile.empty()) {
+  if (!portFile.empty()) {
     std::FILE* f = std::fopen(portFile.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "dsudd: cannot write %s\n", portFile.c_str());
