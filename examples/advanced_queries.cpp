@@ -24,6 +24,10 @@ int main(int argc, char** argv) {
   spec.dist = ValueDistribution::kAnticorrelated;
   spec.seed = static_cast<std::uint64_t>(args.getInt("seed", 99));
   const auto m = static_cast<std::size_t>(args.getInt("m", 8));
+  if (const auto problem = args.problem()) {
+    std::fprintf(stderr, "advanced_queries: %s\n", problem->c_str());
+    return 2;
+  }
 
   std::printf("hotel catalogue: %zu uncertain records (price, beach "
               "distance, noise) across %zu booking sites\n\n",

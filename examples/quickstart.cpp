@@ -32,6 +32,10 @@ int main(int argc, char** argv) {
 
   QueryConfig config;
   config.q = args.getDouble("q", 0.3);
+  if (const auto problem = args.problem()) {
+    std::fprintf(stderr, "quickstart: %s\n", problem->c_str());
+    return 2;
+  }
 
   std::printf("generating %zu %zu-dimensional %s tuples...\n", spec.n,
               spec.dims, distributionName(spec.dist));

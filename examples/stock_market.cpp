@@ -26,6 +26,11 @@ int main(int argc, char** argv) {
   spec.n = static_cast<std::size_t>(args.getInt("n", 100000));
   spec.seed = static_cast<std::uint64_t>(args.getInt("seed", 20001201));
   const auto m = static_cast<std::size_t>(args.getInt("m", 8));
+  const double topQ = args.getDouble("q", 0.3);
+  if (const auto problem = args.problem()) {
+    std::fprintf(stderr, "stock_market: %s\n", problem->c_str());
+    return 2;
+  }
 
   std::printf("synthesising %zu stock deals and spreading them over %zu "
               "exchange centres...\n",
@@ -46,7 +51,7 @@ int main(int argc, char** argv) {
 
   // --- Top deals at the default threshold -----------------------------------
   QueryConfig config;
-  config.q = args.getDouble("q", 0.3);
+  config.q = topQ;
   const QueryResult result = cluster.engine().runEdsud(config);
   std::printf("\ntop deals at q = %.2f (price $, volume shares, "
               "P(deal), P_gsky):\n",

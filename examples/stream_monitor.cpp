@@ -19,6 +19,11 @@ int main(int argc, char** argv) {
   const auto window = static_cast<std::size_t>(args.getInt("window", 200));
   const auto events = static_cast<std::size_t>(args.getInt("events", 2000));
   const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 20001201));
+  const double q = args.getDouble("q", 0.3);
+  if (const auto problem = args.problem()) {
+    std::fprintf(stderr, "stream_monitor: %s\n", problem->c_str());
+    return 2;
+  }
 
   // One long synthetic trade stream; the first m*window trades pre-fill the
   // windows, the rest arrive live, round-robin across exchanges.
@@ -40,7 +45,7 @@ int main(int argc, char** argv) {
 
   InProcCluster cluster(Topology::fromPartitions(siteData));
   QueryConfig config;
-  config.q = args.getDouble("q", 0.3);
+  config.q = q;
   std::printf("monitoring %zu exchanges, window %zu deals each, q = %.2f\n",
               m, window, config.q);
 

@@ -56,6 +56,12 @@ int main(int argc, char** argv) {
 
   QueryConfig config;
   config.q = args.getDouble("q", 0.3);
+  const std::chrono::milliseconds deadline{args.getInt("deadline-ms", 5000)};
+  const auto retries = static_cast<std::uint32_t>(args.getInt("retries", 2));
+  if (const auto problem = args.problem()) {
+    std::fprintf(stderr, "tcp_cluster: %s\n", problem->c_str());
+    return 2;
+  }
 
   const Dataset global = generateSynthetic(spec);
   Rng partitionRng(spec.seed + 1);
@@ -104,10 +110,8 @@ int main(int argc, char** argv) {
     // (SO_RCVTIMEO on the socket) and transient failures are retried with
     // exponential backoff before the query gives up.
     QueryOptions options;
-    options.fault.deadline =
-        std::chrono::milliseconds{args.getInt("deadline-ms", 5000)};
-    options.fault.retry.maxAttempts =
-        1 + static_cast<std::uint32_t>(args.getInt("retries", 2));
+    options.fault.deadline = deadline;
+    options.fault.retry.maxAttempts = 1 + retries;
     options.cancel = std::make_shared<std::atomic<bool>>(false);
 
     // SA_RESTART so blocked socket calls resume after the handler runs;

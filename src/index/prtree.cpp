@@ -1,6 +1,7 @@
 #include "index/prtree.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -111,6 +112,16 @@ TupleId* PRTree::leafIds(std::uint32_t node) noexcept {
 }
 const TupleId* PRTree::leafIds(std::uint32_t node) const noexcept {
   return reinterpret_cast<const TupleId*>(at(node) + idsOff_);
+}
+kernel::SoaBlock PRTree::leafBlock(
+    std::uint32_t node,
+    std::array<const double*, kMaxDims>& cols) const noexcept {
+  // The columns already carry kernel-neutral padding, so whole blocks run
+  // with no tail handling.
+  for (std::size_t j = 0; j < dims_; ++j) cols[j] = leafCol(node, j);
+  return kernel::SoaBlock{cols.data(),       leafProb(node),
+                          leafLogSurv(node), header(node).fanout,
+                          padCap_,           dims_};
 }
 
 // ---------------------------------------------------------------------------
@@ -680,13 +691,8 @@ double PRTree::survivalDescend(std::uint32_t node, std::span<const double> b,
   if (insideClip && h.mbr.fullyDominates(b, mask)) return h.survival;
   if (h.leaf) {
     // Partially dominating leaf: resolve per-row via the blocked kernel.
-    // The columns already carry kernel-neutral padding, so whole blocks run
-    // with no tail handling.
     std::array<const double*, kMaxDims> cols;
-    for (std::size_t j = 0; j < dims_; ++j) cols[j] = leafCol(node, j);
-    const kernel::SoaBlock block{cols.data(), leafProb(node),
-                                 leafLogSurv(node),  h.fanout,
-                                 padCap_,            dims_};
+    const kernel::SoaBlock block = leafBlock(node, cols);
     const double* lo = insideClip ? nullptr : clip->loSpan().data();
     const double* hi = insideClip ? nullptr : clip->hiSpan().data();
     return kernel::blockSurvival(block, b.data(), mask, lo, hi);
@@ -801,6 +807,14 @@ PRTree::NodeRef PRTree::NodeRef::child(std::size_t i) const noexcept {
 }
 PRTree::LeafEntry PRTree::NodeRef::entry(std::size_t i) const noexcept {
   return tree_->leafEntry(node_, i);
+}
+void PRTree::NodeRef::leafSurvivalExponents(
+    DimMask mask, std::span<double> out,
+    kernel::Backend backend) const noexcept {
+  assert(isLeaf() && out.size() >= fanout());
+  std::array<const double*, kMaxDims> cols;
+  kernel::survivalExponents(tree_->leafBlock(node_, cols), mask, out.data(),
+                            backend);
 }
 
 PRTree::NodeRef PRTree::root() const noexcept { return NodeRef(this, root_); }

@@ -27,6 +27,7 @@
 // deletion, as required by the paper's update protocols (Sec. 5.4).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -36,6 +37,7 @@
 
 #include "common/dataset.hpp"
 #include "geometry/rect.hpp"
+#include "kernel/kernel.hpp"
 
 namespace dsud {
 
@@ -144,6 +146,13 @@ class PRTree {
     /// Row-major copy of leaf slot `i` (leaves store columns, so this
     /// assembles a value — it cannot return a reference).
     LeafEntry entry(std::size_t i) const noexcept;
+    /// Leaves only: out[i] = Σ log1p(−P(s)) over the slots s of this leaf
+    /// that dominate slot i on `mask` — one kernel::survivalExponents sweep
+    /// over the leaf's own columns, nothing copied.  `out` must hold at
+    /// least fanout() values; options().maxEntries always suffices.
+    void leafSurvivalExponents(
+        DimMask mask, std::span<double> out,
+        kernel::Backend backend = kernel::Backend::kAuto) const noexcept;
 
    private:
     friend class PRTree;
@@ -213,6 +222,11 @@ class PRTree {
   const double* leafLogSurv(std::uint32_t node) const noexcept;
   TupleId* leafIds(std::uint32_t node) noexcept;
   const TupleId* leafIds(std::uint32_t node) const noexcept;
+  /// Kernel view of leaf `node`'s columns; `cols` receives the column
+  /// pointers and must outlive the view.
+  kernel::SoaBlock leafBlock(
+      std::uint32_t node,
+      std::array<const double*, kMaxDims>& cols) const noexcept;
 
   // --- Leaf slot manipulation ---------------------------------------------
   /// Resets slots [from, padCap) to padding values (+inf coords, 0 prob/log).

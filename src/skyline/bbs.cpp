@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <queue>
 #include <stdexcept>
 #include <variant>
@@ -34,28 +35,27 @@ double tupleL1Key(const PRTree::LeafEntry& e, std::size_t dims) noexcept {
   return s;
 }
 
-/// Upper bound on P_sky of any tuple under `node`: P₂ times the survival of
-/// all tuples guaranteed to dominate the whole MBR.
-double nodeUpperBound(const PRTree& tree, const PRTree::NodeRef& node,
-                      DimMask mask, const Rect* clip) {
-  return node.pMax() *
-         tree.dominanceSurvival(node.mbr().loSpan(), mask, clip);
-}
-
-/// The same bound for the tuples of `node` inside the dominance region of
-/// `point`: they all lie at or above the clipped corner max(lo, point), so
-/// every dominator of the corner dominates each of them.
-double regionUpperBound(const PRTree& tree, const PRTree::NodeRef& node,
-                        std::span<const double> point, DimMask mask,
-                        const Rect* clip) {
+/// Survival of the dominators of the clipped corner max(lo, point): the
+/// tuples of `node` inside the dominance region of `point` all lie at or
+/// above it, so every dominator of the corner dominates each of them.
+double regionCornerSurvival(const PRTree& tree, const PRTree::NodeRef& node,
+                            std::span<const double> point, DimMask mask,
+                            const Rect* clip) {
   std::array<double, kMaxDims> corner{};
   const Rect& mbr = node.mbr();
   for (std::size_t j = 0; j < point.size(); ++j) {
     corner[j] = std::max(mbr.lo(j), point[j]);
   }
-  return node.pMax() *
-         tree.dominanceSurvival({corner.data(), point.size()}, mask, clip);
+  return tree.dominanceSurvival({corner.data(), point.size()}, mask, clip);
 }
+
+/// A leaf tuple is skipped only when its bound falls below q by more than
+/// this relative slack.  The bound multiplies a product-space corner
+/// survival by a log-space in-leaf exponent, while the exact query
+/// multiplies all factors in product space, so the two may round apart by
+/// a few ulps per factor; a tuple whose exact P_sky equals q must never be
+/// lost to that.
+constexpr double kBoundSlack = 1e-9;
 
 /// False when no point of `mbr` can be dominated by `point`: the MBR ends
 /// below it on some selected dimension.
@@ -93,6 +93,7 @@ void traverse(const PRTree& tree, const SkylineSpec& spec,
     return true;
   };
 
+  std::vector<double> exponents(tree.options().maxEntries);
   std::priority_queue<HeapItem, std::vector<HeapItem>, HeapCompare> heap;
   if (!reaches(tree.root())) return;
   heap.push(HeapItem{tree.root().mbr().l1Key(), tree.root()});
@@ -125,14 +126,27 @@ void traverse(const PRTree& tree, const SkylineSpec& spec,
       if (stats != nullptr) ++stats->nodesPruned;
       continue;
     }
-    const double bound =
-        kRegion ? regionUpperBound(tree, node, point, mask, clip)
-                : nodeUpperBound(tree, node, mask, clip);
-    if (bound < q) {
+    // Survival of the tuples guaranteed to dominate every candidate under
+    // the node; times P₂ it bounds their P_sky.
+    const double survival =
+        kRegion ? regionCornerSurvival(tree, node, point, mask, clip)
+                : tree.dominanceSurvival(node.mbr().loSpan(), mask, clip);
+    if (node.pMax() * survival < q) {
       if (stats != nullptr) ++stats->nodesPruned;
       continue;
     }
     if (node.isLeaf()) {
+      // Per-tuple bound before the exact query at pop time:
+      // P(t) · survival · Π_{s in this leaf, s ≺ t} (1 − P(s)).  No leaf
+      // member dominates the leaf's own low corner, so the in-leaf
+      // dominators are disjoint from the corner's and both sets dominate t.
+      // Under a window that splits the leaf an in-leaf dominator may lie
+      // outside it and not count; in a region search a leaf member may
+      // dominate the clipped corner and be counted twice.  Both fall back
+      // to P(t) · survival.
+      const bool leafFactor =
+          !kRegion && (clip == nullptr || clip->containsRect(node.mbr()));
+      if (leafFactor) node.leafSurvivalExponents(mask, exponents);
       for (std::size_t i = 0; i < node.fanout(); ++i) {
         const PRTree::LeafEntry e = node.entry(i);
         if (clip != nullptr && !clip->containsPoint(e.valueSpan(dims))) {
@@ -141,8 +155,9 @@ void traverse(const PRTree& tree, const SkylineSpec& spec,
         if constexpr (kRegion) {
           if (!dominates(point, e.valueSpan(dims), mask)) continue;
         }
-        // Cheap per-tuple filter before the exact query at pop time: the
-        // node-level survival bound applies to every entry.
+        const double bound = e.prob * survival *
+                             (leafFactor ? std::exp(exponents[i]) : 1.0);
+        if (bound < q * (1.0 - kBoundSlack)) continue;
         heap.push(HeapItem{tupleL1Key(e, dims), e});
       }
     } else {

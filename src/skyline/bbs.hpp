@@ -8,9 +8,15 @@
 //
 // which generalises the paper's single-witness rule (P₂(b)·(1−P(a)) < q) to
 // *all* known dominators of the node's low corner, computed in one aggregate
-// descent.  Each surviving leaf tuple gets its exact skyline probability from
-// a dominance-survival query, so the returned set is exactly
-// {t : P_sky(t, D) >= q} — no approximation is introduced by pruning.
+// descent.  A tuple of a surviving leaf is then bounded by
+//
+//     P(t) · Π_{t' ≺ e.mbr.lo} (1 − P(t')) · Π_{s in e, s ≺ t} (1 − P(s))
+//
+// (the two dominator sets are disjoint: no leaf member dominates its own
+// leaf's low corner), and each tuple that passes the in-leaf bound gets its
+// exact skyline probability from a dominance-survival query, so the
+// returned set is exactly {t : P_sky(t, D) >= q} — no approximation is
+// introduced by pruning.
 #pragma once
 
 #include <functional>
@@ -27,7 +33,7 @@ namespace dsud {
 struct BbsStats {
   std::size_t nodesVisited = 0;
   std::size_t nodesPruned = 0;
-  std::size_t tuplesEvaluated = 0;
+  std::size_t tuplesEvaluated = 0;  ///< tuples given the exact survival query
 };
 
 /// Qualified probabilistic skyline of the indexed database, sorted by

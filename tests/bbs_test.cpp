@@ -155,17 +155,6 @@ TEST(BbsTest, CertainDataGivesClassicSkyline) {
   EXPECT_EQ(sky[0].values, (std::vector<double>{0.0, 0.0}));
 }
 
-TEST(BbsTest, WorksOnDynamicallyBuiltTree) {
-  const Dataset data = generateSynthetic(
-      SyntheticSpec{600, 3, ValueDistribution::kIndependent, 37});
-  PRTree tree(3);
-  for (std::size_t row = 0; row < data.size(); ++row) {
-    tree.insert(data.id(row), data.values(row), data.prob(row));
-  }
-  EXPECT_EQ(testutil::idsOf(bbsSkyline(tree, {.q = 0.3})),
-            testutil::idsOf(linearSkyline(data, {.q = 0.3})));
-}
-
 
 // ---------------------------------------------------------------------------
 // Region-restricted search (delete repair, paper Sec. 5.4)
@@ -243,15 +232,19 @@ struct RegionCase {
   bool grid;
 };
 
+Dataset caseData(const RegionCase& c, std::size_t n, std::size_t dims,
+                 std::uint64_t seed) {
+  return c.grid ? integerGrid(n, dims, seed)
+                : generateSynthetic(SyntheticSpec{n, dims, c.dist, seed});
+}
+
 class BbsRegionTest : public ::testing::TestWithParam<RegionCase> {};
 
 TEST_P(BbsRegionTest, MatchesFilteredFullSpaceSearchExactly) {
   const RegionCase& c = GetParam();
   for (std::size_t dims = 2; dims <= 4; ++dims) {
     const std::uint64_t seed = 600 + dims;
-    const Dataset data =
-        c.grid ? integerGrid(700, dims, seed)
-               : generateSynthetic(SyntheticSpec{700, dims, c.dist, seed});
+    const Dataset data = caseData(c, 700, dims, seed);
     const PRTree tree = PRTree::bulkLoad(data);
     const auto points = probePoints(data);
     for (DimMask mask = 1; mask <= fullMask(dims); ++mask) {
@@ -282,9 +275,7 @@ TEST_P(BbsRegionTest, FarFromFrontierVisitsFewerNodes) {
   const RegionCase& c = GetParam();
   for (std::size_t dims = 2; dims <= 4; ++dims) {
     const std::uint64_t seed = 620 + dims;
-    const Dataset data =
-        c.grid ? integerGrid(3000, dims, seed)
-               : generateSynthetic(SyntheticSpec{3000, dims, c.dist, seed});
+    const Dataset data = caseData(c, 3000, dims, seed);
     const PRTree tree = PRTree::bulkLoad(data);
     const auto far = probePoints(data).back();
     const SkylineSpec spec{.q = 0.3};
@@ -329,6 +320,240 @@ TEST(BbsTest, RegionSearchRejectsBadDimensionality) {
       SyntheticSpec{50, 3, ValueDistribution::kIndependent, 641}));
   const std::vector<double> p = {0.5, 0.5};
   EXPECT_THROW(regionSearch(tree, {.q = 0.3}, p), std::invalid_argument);
+}
+
+
+// ---------------------------------------------------------------------------
+// Per-tuple in-leaf bound: a leaf tuple reaches the exact survival query only
+// when P(t) · S(lo) · Π_{s in its leaf, s ≺ t} (1 − P(s)) clears q.
+
+/// Every stored tuple's exact P_sky, computed as BBS computes it at pop time
+/// (P(t) times the whole tree's dominance survival), kept when in the window
+/// and at or above q, in bbsSkyline's order: what BBS must reproduce bit for
+/// bit however many tuples its bounds skip.
+std::vector<ProbSkylineEntry> exhaustiveSkyline(const PRTree& tree,
+                                                const SkylineSpec& spec) {
+  const std::size_t dims = tree.dims();
+  const DimMask mask = effectiveMask(spec.mask, dims);
+  std::vector<ProbSkylineEntry> out;
+  tree.forEach([&](const PRTree::LeafEntry& e) {
+    const auto v = e.valueSpan(dims);
+    if (spec.clip != nullptr && !spec.clip->containsPoint(v)) return;
+    const double skyProb = e.prob * tree.dominanceSurvival(v, mask, spec.clip);
+    if (skyProb >= spec.q) {
+      out.push_back({e.id, {v.begin(), v.end()}, e.prob, skyProb});
+    }
+  });
+  sortBySkylineProbability(out);
+  return out;
+}
+
+/// The tuples the node bound alone lets through: every slot of every leaf
+/// whose whole root path passes P₂ · S(lo) >= q.  Before the per-tuple
+/// bound, each of them cost one exact survival query.
+std::size_t nodeBoundSurvivors(const PRTree& tree,
+                               const PRTree::NodeRef& node, double q) {
+  const DimMask mask = fullMask(tree.dims());
+  if (node.pMax() * tree.dominanceSurvival(node.mbr().loSpan(), mask) < q) {
+    return 0;
+  }
+  if (node.isLeaf()) return node.fanout();
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < node.fanout(); ++i) {
+    n += nodeBoundSurvivors(tree, node.child(i), q);
+  }
+  return n;
+}
+
+/// [lo + f0·(hi − lo), lo + f1·(hi − lo)] per dimension over the data's
+/// bounding box.
+Rect windowOf(const Dataset& data, double f0, double f1) {
+  Rect box(data.dims());
+  for (std::size_t row = 0; row < data.size(); ++row) {
+    box.expand(data.values(row));
+  }
+  std::vector<double> lo(data.dims());
+  std::vector<double> hi(data.dims());
+  for (std::size_t j = 0; j < data.dims(); ++j) {
+    const double span = box.hi(j) - box.lo(j);
+    lo[j] = box.lo(j) + f0 * span;
+    hi[j] = box.lo(j) + f1 * span;
+  }
+  Rect window(data.dims());
+  window.expand(lo);
+  window.expand(hi);
+  return window;
+}
+
+/// Counts leaves inside `window` and leaves it cuts.
+void countLeaves(const PRTree::NodeRef& node, const Rect& window,
+                 std::size_t& inside, std::size_t& straddling) {
+  if (!node.mbr().intersects(window)) return;
+  if (node.isLeaf()) {
+    ++(window.containsRect(node.mbr()) ? inside : straddling);
+    return;
+  }
+  for (std::size_t i = 0; i < node.fanout(); ++i) {
+    countLeaves(node.child(i), window, inside, straddling);
+  }
+}
+
+/// bbsSkyline and bbsSkylineStream against the exhaustive reference (same
+/// ids, same order, bit-identical skyProb) and against the linear scan
+/// (same ids in the same order; its log-space skyProb agrees to 1e-9).
+void expectExact(const PRTree& tree, const SkylineSpec& spec,
+                 const std::vector<ProbSkylineEntry>& linear,
+                 const std::string& where) {
+  const auto want = exhaustiveSkyline(tree, spec);
+  const auto got = bbsSkyline(tree, spec);
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].id, want[i].id) << where << " rank " << i;
+    ASSERT_EQ(got[i].skyProb, want[i].skyProb) << where;
+    ASSERT_EQ(got[i].values, want[i].values) << where;
+    ASSERT_EQ(got[i].prob, want[i].prob) << where;
+  }
+  ASSERT_EQ(got.size(), linear.size()) << where;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].id, linear[i].id) << where << " rank " << i;
+    ASSERT_NEAR(got[i].skyProb, linear[i].skyProb, 1e-9) << where;
+  }
+
+  // The stream emits the same entries in (L1 key, id) order.
+  auto byKey = want;
+  const auto key = [](const ProbSkylineEntry& e) {
+    double k = 0.0;
+    for (const double x : e.values) k += x;
+    return k;
+  };
+  std::sort(byKey.begin(), byKey.end(),
+            [&](const ProbSkylineEntry& a, const ProbSkylineEntry& b) {
+              if (key(a) != key(b)) return key(a) < key(b);
+              return a.id < b.id;
+            });
+  std::vector<ProbSkylineEntry> streamed;
+  bbsSkylineStream(tree, spec, [&](const ProbSkylineEntry& e) {
+    streamed.push_back(e);
+    return true;
+  });
+  ASSERT_EQ(streamed, byKey) << where;
+}
+
+class BbsBoundTest : public ::testing::TestWithParam<RegionCase> {};
+
+TEST_P(BbsBoundTest, MatchesExhaustiveAndLinearAcrossFanoutsAndWindows) {
+  const RegionCase& c = GetParam();
+  for (std::size_t dims = 2; dims <= 4; ++dims) {
+    const Dataset data = caseData(c, 500, dims, 700 + dims);
+    std::vector<PRTree> trees;
+    for (const std::size_t fanout : {4, 12, 32, 64}) {
+      const std::size_t minEntries = std::max<std::size_t>(2, fanout * 2 / 5);
+      trees.push_back(PRTree::bulkLoad(data, {fanout, minEntries}));
+    }
+    // A wide window holds whole leaves and cuts the ones at its border; a
+    // narrow one cuts most of the leaves it reaches.
+    const Rect wide = windowOf(data, 0.05, 0.9);
+    const Rect narrow = windowOf(data, 0.25, 0.6);
+    std::size_t inside = 0;
+    std::size_t straddling = 0;
+    countLeaves(trees[0].root(), wide, inside, straddling);
+    EXPECT_GT(inside, 0u) << "d=" << dims;
+    EXPECT_GT(straddling, 0u) << "d=" << dims;
+    for (DimMask mask = 1; mask <= fullMask(dims); ++mask) {
+      for (const Rect* clip : {static_cast<const Rect*>(nullptr), &wide,
+                               &narrow}) {
+        for (const double q : {0.1, 0.3, 0.5}) {
+          const SkylineSpec spec{.mask = mask, .q = q, .clip = clip};
+          const auto linear = linearSkyline(data, spec);
+          for (std::size_t t = 0; t < trees.size(); ++t) {
+            const std::string where =
+                "d=" + std::to_string(dims) + " mask=" + std::to_string(mask) +
+                " window=" +
+                (clip == nullptr ? "none" : clip == &wide ? "wide" : "narrow") +
+                " q=" + std::to_string(q) +
+                " fanout=" + std::to_string(trees[t].options().maxEntries);
+            expectExact(trees[t], spec, linear, where);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(BbsBoundTest, TupleExactlyAtThresholdIsEmitted) {
+  // q set to an emitted tuple's own exact skyProb: its bound may round a few
+  // ulps below the exact value, and it must still be emitted.
+  const RegionCase& c = GetParam();
+  for (std::size_t dims = 2; dims <= 3; ++dims) {
+    const Dataset data = caseData(c, 1000, dims, 720 + dims);
+    const PRTree tree = PRTree::bulkLoad(data);
+    const Rect wide = windowOf(data, 0.05, 0.9);
+    for (const DimMask mask : {fullMask(dims), DimMask{0b011}}) {
+      for (const Rect* clip : {static_cast<const Rect*>(nullptr), &wide}) {
+        const SkylineSpec loose{.mask = mask, .q = 0.02, .clip = clip};
+        for (const ProbSkylineEntry& e : bbsSkyline(tree, loose)) {
+          const SkylineSpec atEdge{.mask = mask, .q = e.skyProb, .clip = clip};
+          const auto ids = testutil::idsOf(bbsSkyline(tree, atEdge));
+          EXPECT_NE(std::find(ids.begin(), ids.end(), e.id), ids.end())
+              << "d=" << dims << " mask=" << mask
+              << " window=" << (clip != nullptr) << " id=" << e.id;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Data, BbsBoundTest,
+    ::testing::Values(
+        RegionCase{"independent", ValueDistribution::kIndependent, false},
+        RegionCase{"anticorrelated", ValueDistribution::kAnticorrelated,
+                   false},
+        RegionCase{"grid", ValueDistribution::kIndependent, true}),
+    [](const ::testing::TestParamInfo<RegionCase>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(BbsTest, TupleBoundCutsExactQueries) {
+  const Dataset data = generateSynthetic(
+      SyntheticSpec{1000, 3, ValueDistribution::kIndependent, 730});
+  const PRTree tree = PRTree::bulkLoad(data);
+  const SkylineSpec spec{.q = 0.3};
+  BbsStats stats;
+  const auto got = bbsSkyline(tree, spec, &stats);
+  EXPECT_EQ(testutil::idsOf(got), testutil::idsOf(linearSkyline(data, spec)));
+  EXPECT_LT(stats.tuplesEvaluated, nodeBoundSurvivors(tree, tree.root(), 0.3));
+  EXPECT_GE(stats.tuplesEvaluated, got.size());
+}
+
+TEST(BbsTest, WorksOnDynamicallyBuiltTree) {
+  // Leaves built by inserts, splits and swap-removals rather than STR.
+  const Dataset data = generateSynthetic(
+      SyntheticSpec{900, 3, ValueDistribution::kAnticorrelated, 740});
+  PRTree tree(3, PRTreeOptions{12, 5});
+  Dataset kept(3);
+  for (std::size_t row = 0; row < data.size(); ++row) {
+    tree.insert(data.id(row), data.values(row), data.prob(row));
+  }
+  for (std::size_t row = 0; row < data.size(); ++row) {
+    if (row % 5 == 0) {
+      ASSERT_TRUE(tree.erase(data.id(row), data.values(row)));
+    } else {
+      kept.add(data.id(row), data.values(row), data.prob(row));
+    }
+  }
+  const Rect wide = windowOf(kept, 0.05, 0.9);
+  for (DimMask mask = 1; mask <= fullMask(3); ++mask) {
+    for (const Rect* clip : {static_cast<const Rect*>(nullptr), &wide}) {
+      for (const double q : {0.1, 0.3, 0.5}) {
+        const SkylineSpec spec{.mask = mask, .q = q, .clip = clip};
+        expectExact(tree, spec, linearSkyline(kept, spec),
+                    "mask=" + std::to_string(mask) +
+                        " window=" + std::to_string(clip != nullptr) +
+                        " q=" + std::to_string(q));
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -379,5 +379,62 @@ TEST(PRTreeTest, ClearResetsEverything) {
   EXPECT_EQ(tree.size(), 1u);
 }
 
+void collectLeaves(const PRTree::NodeRef& node,
+                   std::vector<PRTree::NodeRef>& out) {
+  if (node.isLeaf()) {
+    out.push_back(node);
+    return;
+  }
+  for (std::size_t i = 0; i < node.fanout(); ++i) {
+    collectLeaves(node.child(i), out);
+  }
+}
+
+TEST(PRTreeTest, LeafSurvivalExponentsMatchBruteForcePerSlotSums) {
+  // Bulk-loaded at two fanouts, plus a dynamically built tree whose leaves
+  // went through splits and swap-removals (gapped slot order, padding
+  // restored in vacated slots).
+  std::vector<PRTree> trees;
+  const Dataset data = generateSynthetic(
+      SyntheticSpec{600, 3, ValueDistribution::kAnticorrelated, 12});
+  trees.push_back(PRTree::bulkLoad(data));
+  trees.push_back(PRTree::bulkLoad(data, PRTreeOptions{4, 2}));
+  PRTree dynamic(3, PRTreeOptions{12, 5});
+  for (std::size_t row = 0; row < data.size(); ++row) {
+    dynamic.insert(data.id(row), data.values(row), data.prob(row));
+  }
+  for (std::size_t row = 0; row < data.size(); row += 3) {
+    ASSERT_TRUE(dynamic.erase(data.id(row), data.values(row)));
+  }
+  trees.push_back(std::move(dynamic));
+
+  for (const PRTree& tree : trees) {
+    std::vector<PRTree::NodeRef> leaves;
+    collectLeaves(tree.root(), leaves);
+    std::vector<double> scalar(tree.options().maxEntries);
+    std::vector<double> simd(tree.options().maxEntries);
+    for (DimMask mask = 1; mask <= fullMask(3); ++mask) {
+      for (const PRTree::NodeRef& leaf : leaves) {
+        leaf.leafSurvivalExponents(mask, scalar, kernel::Backend::kScalar);
+        leaf.leafSurvivalExponents(mask, simd, kernel::Backend::kSimd);
+        for (std::size_t i = 0; i < leaf.fanout(); ++i) {
+          const PRTree::LeafEntry t = leaf.entry(i);
+          double want = 0.0;
+          for (std::size_t j = 0; j < leaf.fanout(); ++j) {
+            const PRTree::LeafEntry s = leaf.entry(j);
+            if (dominates(s.valueSpan(3), t.valueSpan(3), mask)) {
+              want += std::log1p(-s.prob);
+            }
+          }
+          EXPECT_NEAR(scalar[i], want, 1e-12) << "mask=" << mask;
+          // Backends agree bit for bit (kSimd falls back to the scalar
+          // mirror where AVX2 is absent).
+          EXPECT_EQ(simd[i], scalar[i]) << "mask=" << mask;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dsud
