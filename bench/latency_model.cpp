@@ -5,11 +5,12 @@
 // protocol execution into wall-clock estimates under per-RPC round-trip
 // times, for two execution disciplines:
 //
-//   sequential — every RPC waits for the previous one:
+//   sequential — every RPC waits for the previous one (how the library
+//                runs a query):
 //                  T = roundTrips · RTT
-//   pipelined  — the m−1 evaluate RPCs of one feedback phase run in
-//                parallel (QueryOptions::broadcastThreads), prepares and
-//                initial pulls batch likewise:
+//   pipelined  — an analytical what-if: the m−1 evaluate RPCs of one
+//                feedback phase overlap, prepares and initial pulls batch
+//                likewise:
 //                  T ≈ (2 + candidatesPulled + broadcasts) · RTT
 //                (one RTT per To-Server pull, one per feedback phase, plus
 //                 one parallel prepare and one parallel initial-pull round)

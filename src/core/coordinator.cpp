@@ -152,19 +152,15 @@ ApplyDeleteResponse Coordinator::applyDelete(SiteId site,
   return response;
 }
 
-double Coordinator::evaluateGlobally(const Candidate& c, bool pruneLocal,
-                                     QueryStats& stats, DimMask mask,
-                                     const std::optional<Rect>& window) {
+double Coordinator::evaluateGlobally(const Candidate& c, DimMask mask) {
   const auto view = this->view();
   double globalSkyProb = c.localSkyProb;
-  const EvaluateRequest request{kNoQuery, c.tuple, mask, pruneLocal, window};
+  const EvaluateRequest request{kNoQuery, c.tuple, mask, /*pruneLocal=*/false,
+                                std::nullopt};
   for (const ReplicaChain& chain : view->partitions) {
     if (chain.partition == c.site) continue;
-    const EvaluateResponse r = chain.replicas[0]->evaluate(request);
-    globalSkyProb *= r.survival;
-    stats.prunedAtSites += r.prunedCount;
+    globalSkyProb *= chain.replicas[0]->evaluate(request).survival;
   }
-  ++stats.broadcasts;
   return globalSkyProb;
 }
 

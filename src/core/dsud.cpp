@@ -63,8 +63,7 @@ QueryResult QueryEngine::dsudImpl(const QueryConfig& config,
       broadcast.attr("site", c.site);
       broadcast.attr("tuple", static_cast<double>(c.tuple.id));
       globalSkyProb =
-          run.evaluateGlobally(c, /*pruneLocal=*/true, mask, config.window,
-                               broadcast.id());
+          run.evaluateGlobally(c, /*pruneLocal=*/true, mask, config.window);
     }
     if (globalSkyProb >= config.q) run.emit(c, globalSkyProb);
 

@@ -100,8 +100,7 @@ QueryResult QueryEngine::edsudImpl(const QueryConfig& config,
       broadcast.attr("site", c.site);
       broadcast.attr("tuple", static_cast<double>(c.tuple.id));
       globalSkyProb =
-          run.evaluateGlobally(c, /*pruneLocal=*/true, mask, config.window,
-                               broadcast.id());
+          run.evaluateGlobally(c, /*pruneLocal=*/true, mask, config.window);
     }
     queue.confirm(c.tuple, globalSkyProb);
     if (globalSkyProb >= config.q) run.emit(c, globalSkyProb);

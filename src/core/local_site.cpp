@@ -2,10 +2,20 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string_view>
 
 #include "skyline/bbs.hpp"
 
 namespace dsud {
+namespace {
+
+/// A span on `tracer`, or a no-op span when it is null.  Site spans close
+/// before the next one opens, so they stay flat (no parent).
+obs::TraceSpan siteSpan(obs::Tracer* tracer, std::string_view name) {
+  return tracer != nullptr ? obs::TraceSpan(*tracer, name) : obs::TraceSpan();
+}
+
+}  // namespace
 
 LocalSite::LocalSite(SiteId id, const Dataset& db, PRTree::Options options)
     : id_(id),
@@ -54,20 +64,6 @@ void LocalSite::setMaintenanceTrace(std::size_t maxEvents) {
                                : nullptr;
 }
 
-obs::SpanId LocalSite::maintBeginLocked(std::string_view name) {
-  return maintTracer_ != nullptr ? maintTracer_->begin(name, obs::kNoSpan)
-                                 : obs::kNoSpan;
-}
-
-void LocalSite::maintAttrLocked(obs::SpanId span, std::string_view key,
-                                double value) {
-  if (maintTracer_ != nullptr) maintTracer_->attr(span, key, value);
-}
-
-void LocalSite::maintEndLocked(obs::SpanId span) {
-  if (maintTracer_ != nullptr) maintTracer_->end(span);
-}
-
 PrepareResponse LocalSite::prepare(const PrepareRequest& request) {
   if (!(request.q > 0.0) || request.q > 1.0) {
     throw std::invalid_argument("LocalSite::prepare: q must be in (0, 1]");
@@ -97,9 +93,7 @@ PrepareResponse LocalSite::prepare(const PrepareRequest& request) {
   }
 
   const std::uint64_t nodesBefore = tree_.nodeAccesses();
-  const obs::SpanId span =
-      session.tracer ? session.tracer->begin("site.prepare", obs::kNoSpan)
-                     : obs::kNoSpan;
+  obs::TraceSpan span = siteSpan(session.tracer.get(), "site.prepare");
   const Rect* clip = session.window ? &*session.window : nullptr;
   for (ProbSkylineEntry& e : bbsSkyline(
            tree_, {.mask = session.mask, .q = session.q, .clip = clip})) {
@@ -108,13 +102,9 @@ PrepareResponse LocalSite::prepare(const PrepareRequest& request) {
   flushTreeMetricsLocked();
 
   const std::uint64_t size = session.pending.size();
-  if (session.tracer) {
-    session.tracer->attr(span, "nodes",
-                         static_cast<double>(tree_.nodeAccesses() -
-                                             nodesBefore));
-    session.tracer->attr(span, "candidates", static_cast<double>(size));
-    session.tracer->end(span);
-  }
+  span.attr("nodes", static_cast<double>(tree_.nodeAccesses() - nodesBefore));
+  span.attr("candidates", static_cast<double>(size));
+  span.close();
   sessions_[request.query] = std::move(session);
   return PrepareResponse{size};
 }
@@ -129,17 +119,12 @@ NextCandidateResponse LocalSite::nextCandidate(
   obs::Tracer* tracer = session.tracer.get();
   // Duplicate delivery (retry after a lost response): replay, don't advance.
   if (request.seq != 0 && request.seq == session.lastNextSeq) {
-    if (tracer != nullptr) {
-      const obs::SpanId span = tracer->begin("site.next", obs::kNoSpan);
-      tracer->attr(span, "seq", static_cast<double>(request.seq));
-      tracer->attr(span, "replay", 1.0);
-      tracer->end(span);
-    }
+    obs::TraceSpan span = siteSpan(tracer, "site.next");
+    span.attr("seq", static_cast<double>(request.seq));
+    span.attr("replay", 1.0);
     return session.lastNext;
   }
-  const obs::SpanId span =
-      tracer != nullptr ? tracer->begin("site.next", obs::kNoSpan)
-                        : obs::kNoSpan;
+  obs::TraceSpan span = siteSpan(tracer, "site.next");
   if (!session.pending.empty()) {
     std::vector<PendingEntry>& pending = session.pending;
     PendingEntry head = std::move(pending.front());
@@ -156,13 +141,9 @@ NextCandidateResponse LocalSite::nextCandidate(
     session.lastNextSeq = request.seq;
     session.lastNext = response;
   }
-  if (tracer != nullptr) {
-    tracer->attr(span, "seq", static_cast<double>(request.seq));
-    tracer->attr(span, "returned", response.candidate ? 1.0 : 0.0);
-    tracer->attr(span, "pending",
-                 static_cast<double>(session.pending.size()));
-    tracer->end(span);
-  }
+  span.attr("seq", static_cast<double>(request.seq));
+  span.attr("returned", response.candidate ? 1.0 : 0.0);
+  span.attr("pending", static_cast<double>(session.pending.size()));
   return response;
 }
 
@@ -179,19 +160,14 @@ EvaluateResponse LocalSite::evaluate(const EvaluateRequest& request) {
   // the feedback factor into extSurvival a second time (threshold rule).
   if (request.seq != 0 && sess != nullptr &&
       request.seq == sess->lastEvalSeq) {
-    if (tracer != nullptr) {
-      const obs::SpanId span = tracer->begin("site.evaluate", obs::kNoSpan);
-      tracer->attr(span, "seq", static_cast<double>(request.seq));
-      tracer->attr(span, "replay", 1.0);
-      tracer->end(span);
-    }
+    obs::TraceSpan span = siteSpan(tracer, "site.evaluate");
+    span.attr("seq", static_cast<double>(request.seq));
+    span.attr("replay", 1.0);
     return sess->lastEval;
   }
   const DimMask mask = request.mask == 0 ? fullMask_ : request.mask;
   const std::uint64_t nodesBefore = tree_.nodeAccesses();
-  const obs::SpanId span =
-      tracer != nullptr ? tracer->begin("site.evaluate", obs::kNoSpan)
-                        : obs::kNoSpan;
+  obs::TraceSpan span = siteSpan(tracer, "site.evaluate");
   EvaluateResponse response;
   const Rect* clip = request.window ? &*request.window : nullptr;
   response.survival =
@@ -222,13 +198,11 @@ EvaluateResponse LocalSite::evaluate(const EvaluateRequest& request) {
     }
   }
   if (tracer != nullptr) {
-    tracer->attr(span, "seq", static_cast<double>(request.seq));
-    tracer->attr(span, "nodes",
-                 static_cast<double>(tree_.nodeAccesses() - nodesBefore));
-    tracer->attr(span, "pruned", static_cast<double>(response.prunedCount));
-    tracer->attr(span, "pending",
-                 static_cast<double>(sess->pending.size()));
-    tracer->end(span);
+    span.attr("seq", static_cast<double>(request.seq));
+    span.attr("nodes",
+              static_cast<double>(tree_.nodeAccesses() - nodesBefore));
+    span.attr("pruned", static_cast<double>(response.prunedCount));
+    span.attr("pending", static_cast<double>(sess->pending.size()));
   }
   return response;
 }
@@ -354,26 +328,24 @@ double LocalSite::replicaExternalSurvivalLocked(std::span<const double> v,
 
 ApplyInsertResponse LocalSite::applyInsert(const ApplyInsertRequest& request) {
   std::lock_guard lock(mutex_);
-  const obs::SpanId span = maintBeginLocked("site.insert");
+  obs::TraceSpan span = siteSpan(maintTracer_.get(), "site.insert");
   const Tuple& t = request.tuple;
   tree_.insert(t);
   ++datasetVersion_;
 
+  const DimMask mask = request.mask == 0 ? fullMask_ : request.mask;
   ApplyInsertResponse response;
   response.datasetVersion = datasetVersion_;
-  response.localSkyProb =
-      t.prob * tree_.dominanceSurvival(t.values, fullMask_);
+  response.localSkyProb = t.prob * tree_.dominanceSurvival(t.values, mask);
   response.globalUpperBound =
-      response.localSkyProb * replicaExternalSurvivalLocked(t.values,
-                                                            fullMask_);
+      response.localSkyProb * replicaExternalSurvivalLocked(t.values, mask);
   for (const ReplicaEntry& r : replica_) {
-    if (dominates(t.values, r.entry.tuple.values, fullMask_)) {
+    if (dominates(t.values, r.entry.tuple.values, mask)) {
       response.dominatedReplica.push_back(r.entry.tuple.id);
     }
   }
-  maintAttrLocked(span, "dominated_replica",
-                  static_cast<double>(response.dominatedReplica.size()));
-  maintEndLocked(span);
+  span.attr("dominated_replica",
+            static_cast<double>(response.dominatedReplica.size()));
   return response;
 }
 
@@ -382,7 +354,7 @@ ApplyDeleteResponse LocalSite::applyDelete(const ApplyDeleteRequest& request) {
     throw std::invalid_argument("LocalSite::applyDelete: bad dimensionality");
   }
   std::lock_guard lock(mutex_);
-  const obs::SpanId span = maintBeginLocked("site.delete");
+  obs::TraceSpan span = siteSpan(maintTracer_.get(), "site.delete");
   ApplyDeleteResponse response;
   // Recover the probability before erasing (needed by the coordinator to
   // rescale cached global probabilities).
@@ -401,8 +373,7 @@ ApplyDeleteResponse LocalSite::applyDelete(const ApplyDeleteRequest& request) {
     if (response.existed) ++datasetVersion_;
   }
   response.datasetVersion = datasetVersion_;
-  maintAttrLocked(span, "existed", response.existed ? 1.0 : 0.0);
-  maintEndLocked(span);
+  span.attr("existed", response.existed ? 1.0 : 0.0);
   return response;
 }
 
@@ -417,7 +388,7 @@ RepairDeleteResponse LocalSite::repairDelete(
     throw std::invalid_argument("LocalSite::repairDelete: bad dimensionality");
   }
   std::lock_guard lock(mutex_);
-  const obs::SpanId span = maintBeginLocked("site.repair");
+  obs::TraceSpan span = siteSpan(maintTracer_.get(), "site.repair");
   const std::uint64_t nodesBefore = tree_.nodeAccesses();
   RepairDeleteResponse response;
   const Tuple& deleted = request.deleted;
@@ -447,11 +418,8 @@ RepairDeleteResponse LocalSite::repairDelete(
         response.candidates.push_back(std::move(c));
         return true;
       });
-  maintAttrLocked(span, "nodes",
-                  static_cast<double>(tree_.nodeAccesses() - nodesBefore));
-  maintAttrLocked(span, "candidates",
-                  static_cast<double>(response.candidates.size()));
-  maintEndLocked(span);
+  span.attr("nodes", static_cast<double>(tree_.nodeAccesses() - nodesBefore));
+  span.attr("candidates", static_cast<double>(response.candidates.size()));
   return response;
 }
 
@@ -460,30 +428,27 @@ void LocalSite::replicaAdd(const ReplicaAddRequest& request) {
     throw std::invalid_argument("LocalSite::replicaAdd: bad dimensionality");
   }
   std::lock_guard lock(mutex_);
-  const obs::SpanId span = maintBeginLocked("site.replica_add");
+  obs::TraceSpan span = siteSpan(maintTracer_.get(), "site.replica_add");
   // Replace a stale copy if present (re-confirmation after updates).
   for (ReplicaEntry& r : replica_) {
     if (r.entry.tuple.id == request.entry.tuple.id) {
       r.entry = request.entry;
       r.globalSkyProb = request.globalSkyProb;
-      maintAttrLocked(span, "replica", static_cast<double>(replica_.size()));
-      maintEndLocked(span);
+      span.attr("replica", static_cast<double>(replica_.size()));
       return;
     }
   }
   replica_.push_back(ReplicaEntry{request.entry, request.globalSkyProb});
-  maintAttrLocked(span, "replica", static_cast<double>(replica_.size()));
-  maintEndLocked(span);
+  span.attr("replica", static_cast<double>(replica_.size()));
 }
 
 void LocalSite::replicaRemove(const ReplicaRemoveRequest& request) {
   std::lock_guard lock(mutex_);
-  const obs::SpanId span = maintBeginLocked("site.replica_remove");
+  obs::TraceSpan span = siteSpan(maintTracer_.get(), "site.replica_remove");
   std::erase_if(replica_, [&](const ReplicaEntry& r) {
     return r.entry.tuple.id == request.id;
   });
-  maintAttrLocked(span, "replica", static_cast<double>(replica_.size()));
-  maintEndLocked(span);
+  span.attr("replica", static_cast<double>(replica_.size()));
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -23,9 +22,9 @@ namespace dsud {
 /// Site-side protocol engine.
 ///
 /// Thread-safety contract: every protocol method is internally synchronised
-/// by one site-wide mutex, so any number of query sessions (and their
-/// broadcast workers) may call concurrently — calls serialise per site but
-/// proceed in parallel across sites.  Query state is keyed by QueryId, so
+/// by one site-wide mutex, so any number of query sessions may call
+/// concurrently — calls serialise per site but proceed in parallel across
+/// sites.  Query state is keyed by QueryId, so
 /// interleaved sessions never observe each other's cursors or pruning.
 /// Update maintenance (applyInsert/applyDelete/...) mutates the PR-tree;
 /// individual calls are safe against concurrent queries, but a query that
@@ -188,11 +187,6 @@ class LocalSite {
     /// are flat (no nesting); the coordinator nests them at merge time.
     std::unique_ptr<obs::Tracer> tracer;
   };
-
-  // Maintenance-tracer helpers (no-ops when setMaintenanceTrace is off).
-  obs::SpanId maintBeginLocked(std::string_view name);
-  void maintAttrLocked(obs::SpanId span, std::string_view key, double value);
-  void maintEndLocked(obs::SpanId span);
 
   SiteId id_;
   PRTree tree_;

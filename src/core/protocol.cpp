@@ -193,11 +193,15 @@ ShipAllResponse ShipAllResponse::decode(ByteReader& r) {
   return msg;
 }
 
-void ApplyInsertRequest::encode(ByteWriter& w) const { encodeTuple(w, tuple); }
+void ApplyInsertRequest::encode(ByteWriter& w) const {
+  encodeTuple(w, tuple);
+  w.putU32(mask);
+}
 
 ApplyInsertRequest ApplyInsertRequest::decode(ByteReader& r) {
   ApplyInsertRequest msg;
   msg.tuple = decodeTuple(r);
+  msg.mask = r.getU32();
   return msg;
 }
 

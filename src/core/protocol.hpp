@@ -268,13 +268,17 @@ struct FetchTraceResponse {
 
 struct ApplyInsertRequest {
   Tuple tuple;
+  /// Subspace of the maintained skyline the response's probabilities and
+  /// dominance relations are computed on; 0 = all dimensions.
+  DimMask mask = 0;
 
   void encode(ByteWriter& w) const;
   static ApplyInsertRequest decode(ByteReader& r);
 };
 
 struct ApplyInsertResponse {
-  /// P_sky(t, D_i) after insertion (includes P(t)).
+  /// P_sky(t, D_i) after insertion (includes P(t)).  Like the two fields
+  /// below, computed on the request's mask.
   double localSkyProb = 0.0;
   /// localSkyProb multiplied by Π (1 − P(r)) over replica dominators from
   /// other sites: a correct upper bound on P_gsky(t).

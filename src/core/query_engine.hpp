@@ -3,12 +3,11 @@
 //
 // Every run opens an immutable session: a QueryId, a copy of the
 // QueryOptions, per-query site views (SiteHandle::openSession), a
-// session-owned monotonic clock, tracer, and bandwidth scope, and — when
-// requested — a session-private broadcast pool.  Because no query touches
-// coordinator-global state, any number of queries may execute concurrently
-// over one cluster, and each is bit-for-bit identical to the same query run
-// alone (survival factors reduce in site order; site sessions are keyed by
-// QueryId).
+// session-owned monotonic clock, tracer, and bandwidth scope.  A session
+// runs on one thread.  Because no query touches coordinator-global state,
+// any number of queries may execute concurrently over one cluster, and each
+// is bit-for-bit identical to the same query run alone (survival factors
+// reduce in site order; site sessions are keyed by QueryId).
 //
 // Thread-safety contract: all run*/submit* methods may be called
 // concurrently from any thread.  The coordinator must outlive the engine
@@ -101,9 +100,7 @@ class QueryEngine {
 
   /// Enqueues the query on the engine's pool and returns immediately.  The
   /// config and options are copied into the session, so the caller's may
-  /// go out of scope.  Broadcast workers (options.broadcastThreads) are
-  /// session-private and never borrowed from the submit pool, so submitted
-  /// queries cannot deadlock it.
+  /// go out of scope.
   QueryTicket submit(Algo algo, QueryConfig config, QueryOptions options = {});
   QueryTicket submitTopK(TopKConfig config, QueryOptions options = {});
 

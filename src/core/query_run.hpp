@@ -2,11 +2,12 @@
 //
 // One QueryRun is one session: it owns everything that was once
 // coordinator-global — the monotonic clock, the bandwidth scopes, the
-// protocol timeline, the progress callback, the broadcast workers, and the
-// per-query site views — so N runs execute concurrently over one cluster
-// without sharing mutable state.  Construction opens the session (per-query
-// SiteHandle views, in-flight gauge); finalize() (or unwinding) releases the
-// site-side state with kFinishQuery.  Not part of the public API.
+// protocol timeline, the progress callback, and the per-query site views —
+// so N runs execute concurrently over one cluster without sharing mutable
+// state.  A session runs on one thread, start to finish.  Construction opens
+// the session (per-query SiteHandle views, in-flight gauge); finalize() (or
+// unwinding) releases the site-side state with kFinishQuery.  Not part of
+// the public API.
 //
 // Accounting has one home: the per-site ledger rows (the SiteProfile rows
 // QueryResult::profile carries).  The algorithms record pulls, candidates,
@@ -16,8 +17,6 @@
 #pragma once
 
 #include <algorithm>
-#include <exception>
-#include <future>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -27,7 +26,6 @@
 #include <vector>
 
 #include "common/stopwatch.hpp"
-#include "common/thread_pool.hpp"
 #include "core/coordinator.hpp"
 #include "core/failover.hpp"
 #include "obs/log.hpp"
@@ -44,8 +42,7 @@ struct QueryRun {
   QueryResult result;
   /// Per-chain bandwidth scopes, parallel to `sessions`: each chain's RPC
   /// traffic lands in its own QueryUsage (sums into the meter too).  The
-  /// transport writes them, possibly from broadcast workers; closeLedger()
-  /// copies them into the ledger rows.
+  /// transport writes them; closeLedger() copies them into the ledger rows.
   std::vector<std::unique_ptr<QueryUsage>> siteUsage;
   Stopwatch watch;   ///< session-owned monotonic clock
   double prepareDoneSeconds = 0.0;  ///< stamp at end of prepareAll
@@ -63,9 +60,6 @@ struct QueryRun {
   /// tracing is off), filled by one kFetchTrace per site at finish() time.
   std::vector<obs::QueryTrace> siteTraces;
   const char* algo;  ///< instrument label and root span name
-  /// Session-private broadcast workers (never the engine's submit pool, so
-  /// submitted queries cannot starve each other).
-  std::unique_ptr<ThreadPool> broadcastPool;
   bool sessionsOpen = false;  ///< prepare sent; sites hold state under `id`
   /// Sites excluded from this run after exhausting their retry budget
   /// (QueryOptions::fault.onSiteFailure == kDegrade only; under kFail the
@@ -125,9 +119,6 @@ struct QueryRun {
     // Site tracing needs a coordinator trace to merge into.
     if (options.traceCapacity > 0 && options.siteTrace) {
       siteTraces.resize(sessions.size());
-    }
-    if (options.broadcastThreads > 0 && sessions.size() > 2) {
-      broadcastPool = std::make_unique<ThreadPool>(options.broadcastThreads);
     }
     root = tracer.begin(std::string("query.") + algo);
     if (obs::MetricsRegistry* reg = coord.metrics(); reg != nullptr) {
@@ -303,77 +294,38 @@ struct QueryRun {
   }
 
   /// Broadcasts `c.tuple` to every site except its origin and multiplies
-  /// the returned survival factors onto the local probability (Lemma 1).
-  /// With a broadcast pool, the m−1 RPCs fan out in parallel; factors are
-  /// still reduced in site order, so the floating-point product (and every
-  /// downstream decision) is identical to the sequential path.
+  /// the returned survival factors onto the local probability (Lemma 1),
+  /// one site at a time in site order.
   ///
   /// In degraded mode a site failing its broadcast is excluded and its
   /// survival factor skipped — the candidate's probability is then exact
   /// over the survivors.  Under kFail the SiteFailure propagates.
   ///
-  /// Each per-site round trip gets an "rpc.evaluate" span hung off
-  /// `broadcastSpan` (the caller's "broadcast" span).  The explicit parent
-  /// matters on the pooled path: spans are begun on *this* thread in site
-  /// order — so the timeline is deterministic — while the RPCs complete on
-  /// workers in any order, and an implicit parent would be whichever span
-  /// happened to be open.  A pooled span brackets submit-to-drain rather
-  /// than the wire time alone; the merge's min-delay offset sampling
-  /// discounts such inflated samples automatically.
+  /// Each per-site round trip gets an "rpc.evaluate" span under the
+  /// innermost open span (the caller's "broadcast" span).
   double evaluateGlobally(const Candidate& c, bool pruneLocal, DimMask mask,
-                          const std::optional<Rect>& window,
-                          obs::SpanId broadcastSpan = obs::kNoSpan) {
+                          const std::optional<Rect>& window) {
     double globalSkyProb = c.localSkyProb;
     const EvaluateRequest request{id, c.tuple, mask, pruneLocal, window};
-    struct Call {
-      std::size_t index;
-      obs::TraceSpan rpc;
-      std::future<EvaluateResponse> future;  ///< pooled path only
-    };
     std::vector<SiteId> failed;
-    std::exception_ptr fatal;
-    // Folds one site's response into the product and its ledger row, in
-    // site order on this thread.  Failures are held until every pooled
-    // future is drained: the workers capture the request by reference.
-    const auto settle = [&](Call& call, auto&& respond) {
-      try {
-        const EvaluateResponse r = respond();
-        if (siteTracing()) {
-          call.rpc.attr("seq", static_cast<double>(
-                                   sessions[call.index]->lastEvalSeq()));
-        }
-        annotateRetries(call.rpc, call.index);
-        call.rpc.close();
-        globalSkyProb *= r.survival;
-        row(call.index).pruned += r.prunedCount;
-      } catch (const NetError&) {
-        if (degradeOk()) {
-          failed.push_back(sessions[call.index]->siteId());
-        } else if (!fatal) {
-          fatal = std::current_exception();
-        }
-      } catch (...) {
-        if (!fatal) fatal = std::current_exception();
-      }
-    };
-    std::vector<Call> pooled;
-    for (std::size_t i = 0; i < sessions.size() && !fatal; ++i) {
+    for (std::size_t i = 0; i < sessions.size(); ++i) {
       SiteHandle& site = *sessions[i];
       if (site.siteId() == c.site || isDead(site.siteId())) continue;
-      Call call{i, obs::TraceSpan(tracer, "rpc.evaluate", broadcastSpan), {}};
-      call.rpc.attr("site", site.siteId());
-      if (broadcastPool == nullptr) {
-        settle(call, [&] { return site.evaluate(request); });
-        continue;
+      obs::TraceSpan rpc = span("rpc.evaluate");
+      rpc.attr("site", site.siteId());
+      try {
+        const EvaluateResponse r = site.evaluate(request);
+        if (siteTracing()) {
+          rpc.attr("seq", static_cast<double>(site.lastEvalSeq()));
+        }
+        annotateRetries(rpc, i);
+        globalSkyProb *= r.survival;
+        row(i).pruned += r.prunedCount;
+      } catch (const NetError&) {
+        if (!degradeOk()) throw;
+        failed.push_back(site.siteId());
       }
-      call.future = broadcastPool->submit(
-          [&site, &request] { return site.evaluate(request); });
-      pooled.push_back(std::move(call));
     }
-    for (Call& call : pooled) {
-      settle(call, [&] { return call.future.get(); });
-    }
-    if (fatal) std::rethrow_exception(fatal);
     for (const SiteId site : failed) markDead(site);
     ++result.stats.broadcasts;
     return globalSkyProb;

@@ -161,7 +161,7 @@ struct BatchingOptions {
 
 /// Per-query execution options, immutable for the lifetime of the query.
 /// Everything that was once mutable coordinator-wide state (progress
-/// callback, trace capacity, broadcast parallelism) lives here so N queries
+/// callback, trace capacity, fault handling) lives here so N queries
 /// can run concurrently with independent settings.
 struct QueryOptions {
   /// Invoked from the running query's thread as each answer qualifies.
@@ -178,11 +178,6 @@ struct QueryOptions {
   /// roughly 16k feedback rounds before events are dropped, ~100 bytes per
   /// retained span.
   std::size_t traceCapacity = 65536;
-
-  /// Feedback broadcasts fan out over this many session-private workers
-  /// instead of sequentially (0 = sequential).  Survival factors are still
-  /// reduced in site order, so results stay bit-for-bit deterministic.
-  std::size_t broadcastThreads = 0;
 
   /// Fault handling for this query: per-call deadline, retry budget, and
   /// what to do when a site stays unreachable after retries.  The defaults

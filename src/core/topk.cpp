@@ -100,8 +100,7 @@ QueryResult QueryEngine::topkImpl(const TopKConfig& config,
       broadcast.attr("site", c.site);
       broadcast.attr("tuple", static_cast<double>(c.tuple.id));
       globalSkyProb =
-          run.evaluateGlobally(c, /*pruneLocal=*/true, mask, config.window,
-                               broadcast.id());
+          run.evaluateGlobally(c, /*pruneLocal=*/true, mask, config.window);
     }
     queue.confirm(c.tuple, globalSkyProb);
 

@@ -145,35 +145,12 @@ void SkylineMaintainer::removeSkyline(TupleId id) {
 void SkylineMaintainer::incrementalInsert(const UpdateEvent& event,
                                           UpdateStats& stats) {
   const Tuple& t = event.tuple;
-  const ApplyInsertResponse response =
-      coordinator_.applyInsert(event.site, ApplyInsertRequest{t});
-
-  // The site answers in full space.  A subspace skyline instead takes the
-  // new tuple's own-site survival on the mask (one evaluate at its site) and
-  // its dominance relations with SKY(H), which the coordinator holds.
-  const DimMask mask = config_.effectiveMask(coordinator_.dims());
-  double localSkyProb = response.localSkyProb;
-  double upperBound = response.globalUpperBound;
-  std::vector<TupleId> dominated = response.dominatedReplica;
-  if (mask != fullMask(coordinator_.dims())) {
-    const EvaluateResponse own = coordinator_.siteById(event.site).evaluate(
-        EvaluateRequest{kNoQuery, t, mask, /*pruneLocal=*/false});
-    localSkyProb = t.prob * own.survival;
-    upperBound = localSkyProb;
-    dominated.clear();
-    for (const auto& [id, entry] : sky_) {
-      if (dominates(t.values, entry.tuple.values, mask)) {
-        dominated.push_back(id);
-      } else if (entry.site != event.site &&
-                 dominates(entry.tuple.values, t.values, mask)) {
-        upperBound *= 1.0 - entry.tuple.prob;
-      }
-    }
-  }
+  const ApplyInsertResponse response = coordinator_.applyInsert(
+      event.site, ApplyInsertRequest{t, config_.mask});
 
   // Exact, network-free rescale of dominated skyline members: the new tuple
   // multiplies their global probability by (1 − P(t)).
-  for (const TupleId id : dominated) {
+  for (const TupleId id : response.dominatedReplica) {
     auto it = sky_.find(id);
     if (it == sky_.end()) continue;
     it->second.globalSkyProb *= 1.0 - t.prob;
@@ -184,12 +161,11 @@ void SkylineMaintainer::incrementalInsert(const UpdateEvent& event,
   }
 
   // The new tuple itself joins only when its provable bound reaches q.
-  if (upperBound >= config_.q) {
-    QueryStats evalStats;
-    const Candidate c{event.site, t, localSkyProb};
+  if (response.globalUpperBound >= config_.q) {
+    const Candidate c{event.site, t, response.localSkyProb};
     const double globalSkyProb = coordinator_.evaluateGlobally(
-        c, /*pruneLocal=*/false, evalStats, mask);
-    stats.broadcasts += evalStats.broadcasts;
+        c, config_.effectiveMask(coordinator_.dims()));
+    ++stats.broadcasts;
     if (globalSkyProb >= config_.q) {
       addSkyline(c, globalSkyProb);
       stats.skylineChanged = true;
@@ -237,10 +213,8 @@ void SkylineMaintainer::incrementalDelete(const UpdateEvent& event,
     }
   }
   for (const Candidate& c : candidates) {
-    QueryStats evalStats;
-    const double globalSkyProb = coordinator_.evaluateGlobally(
-        c, /*pruneLocal=*/false, evalStats, mask);
-    stats.broadcasts += evalStats.broadcasts;
+    const double globalSkyProb = coordinator_.evaluateGlobally(c, mask);
+    ++stats.broadcasts;
     if (globalSkyProb >= config_.q) {
       addSkyline(c, globalSkyProb);
       stats.skylineChanged = true;

@@ -37,10 +37,10 @@ struct UsageTotals {
 /// BandwidthMeter, so per-query stats stay exact while N queries share the
 /// links.
 ///
-/// Thread-safety contract: all counters are relaxed atomics — any number of
-/// broadcast workers may record concurrently, and `totals()` may be read at
-/// any time (it is only guaranteed consistent once the query's RPCs are
-/// done, which is when QueryRun reads it).
+/// Thread-safety contract: all counters are relaxed atomics, so recording
+/// and reading need no outside locking; `totals()` may be read at any time
+/// (it is only guaranteed consistent once the query's RPCs are done, which
+/// is when QueryRun reads it).
 class QueryUsage {
  public:
   void recordCall(std::uint64_t requestBytes, std::uint64_t responseBytes) {

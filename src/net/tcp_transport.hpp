@@ -19,11 +19,11 @@ namespace dsud {
 /// Coordinator-side TCP channel to one site.
 class TcpClientChannel final : public ClientChannel {
  public:
-  /// Connects to a site server on 127.0.0.1:`port`.  `options` controls
-  /// TCP_NODELAY and the connect timeout; a per-call deadline set later via
-  /// setDeadline maps onto SO_RCVTIMEO/SO_SNDTIMEO.
+  /// Connects to a site server on 127.0.0.1:`port`.  `options` bounds the
+  /// connect; a per-call deadline set later via setDeadline maps onto
+  /// SO_RCVTIMEO/SO_SNDTIMEO.
   explicit TcpClientChannel(std::uint16_t port, TcpSocketOptions options = {})
-      : socket_(connectTo(port, options.connectTimeout, options.noDelay)) {}
+      : socket_(connectTo(port, options.connectTimeout)) {}
 
   Frame call(const Frame& request) override {
     try {

@@ -100,9 +100,6 @@ class ClientChannel {
 
 /// Socket knobs of the TCP transport (TcpClientChannel / examples).
 struct TcpSocketOptions {
-  /// TCP_NODELAY on every connection — the request/response protocol sends
-  /// one small frame per round trip, so Nagle costs tens of ms per RPC.
-  bool noDelay = true;
   /// Bound on connect(2); 0 blocks indefinitely.  Expiry throws NetTimeout.
   std::chrono::milliseconds connectTimeout{0};
 };
@@ -114,10 +111,6 @@ struct TransportConfig {
   /// of concurrent sessions rarely block on a lease, small enough to stay
   /// negligible per site.
   std::size_t inprocChannelsPerSite = 4;
-  /// Channels per site over TCP.  TcpSiteServer accepts exactly one
-  /// connection, so the compatible default is 1 (the pool then serialises
-  /// all sessions on it).
-  std::size_t tcpChannelsPerSite = 1;
   TcpSocketOptions socket;
 };
 

@@ -120,15 +120,14 @@ Socket acceptFrom(const Socket& listener) {
   }
 }
 
-Socket connectTo(std::uint16_t port, std::chrono::milliseconds timeout,
-                 bool noDelay) {
+Socket connectTo(std::uint16_t port, std::chrono::milliseconds timeout) {
   Socket sock(::socket(AF_INET, SOCK_STREAM, 0));
   if (!sock.valid()) throwErrno("socket");
 
-  if (noDelay) {
-    const int enable = 1;
-    ::setsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
-  }
+  // The request/response protocol sends one small frame per round trip, so
+  // Nagle would cost tens of ms per RPC.
+  const int enable = 1;
+  ::setsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;

@@ -22,25 +22,6 @@ SpanId Tracer::begin(std::string_view name) {
   return id;
 }
 
-SpanId Tracer::begin(std::string_view name, SpanId parent) {
-  if (!enabled_) return kNoSpan;
-  const std::uint64_t now = nowNs();
-  std::lock_guard lock(mutex_);
-  if (trace_.events.size() >= maxEvents_) {
-    ++trace_.droppedEvents;
-    return kNoSpan;
-  }
-  TraceEvent event;
-  event.name.assign(name);
-  event.parent = parent;
-  event.startNs = now;
-  const auto id = static_cast<SpanId>(trace_.events.size());
-  trace_.events.push_back(std::move(event));
-  // Deliberately not pushed on openStack_: an explicit-parent span must not
-  // capture unrelated spans opened while it is in flight on another thread.
-  return id;
-}
-
 void Tracer::end(SpanId id) {
   if (!enabled_ || id == kNoSpan) return;
   const std::uint64_t now = nowNs();

@@ -44,10 +44,11 @@ struct QueryTrace {
   bool empty() const noexcept { return events.empty(); }
 };
 
-/// Builds one QueryTrace.  Thread-safe (the coordinator's parallel feedback
-/// broadcast may report spans from pool workers); the *parent* of a new span
-/// is the most recent still-open span, which is well-defined because the
-/// protocol's structure is sequential at the granularity we trace.
+/// Builds one QueryTrace.  The *parent* of a new span is the most recent
+/// still-open span, which is well-defined because a query session runs on
+/// one thread.  Every call takes the tracer's mutex, so a tracer handed
+/// between threads (a site session's, written by whichever thread serves
+/// its next RPC) needs no outside locking.
 class Tracer {
  public:
   /// Disabled tracer: every operation is a cheap no-op.
@@ -63,13 +64,6 @@ class Tracer {
 
   /// Opens a span; returns kNoSpan when disabled or past the cap.
   SpanId begin(std::string_view name);
-
-  /// Opens a span under an explicit parent.  Unlike `begin(name)`, the new
-  /// span does NOT become the implicit parent of later spans (it never joins
-  /// the open-span stack) — this is what concurrent broadcast workers need:
-  /// each worker's span hangs off the broadcast span regardless of which
-  /// other spans happen to be open when the worker runs.
-  SpanId begin(std::string_view name, SpanId parent);
 
   void end(SpanId id);
   void attr(SpanId id, std::string_view key, double value);
@@ -101,14 +95,12 @@ class Tracer {
 };
 
 /// RAII span: opens on construction, closes on destruction.  Move-only.
+/// A default-constructed span is a no-op.
 class TraceSpan {
  public:
+  TraceSpan() noexcept = default;
   TraceSpan(Tracer& tracer, std::string_view name)
       : tracer_(&tracer), id_(tracer.begin(name)) {}
-
-  /// Explicit-parent span (see Tracer::begin(name, parent)).
-  TraceSpan(Tracer& tracer, std::string_view name, SpanId parent)
-      : tracer_(&tracer), id_(tracer.begin(name, parent)) {}
 
   TraceSpan(TraceSpan&& other) noexcept
       : tracer_(std::exchange(other.tracer_, nullptr)),
@@ -129,10 +121,6 @@ class TraceSpan {
   void attr(std::string_view key, double value) {
     if (tracer_ != nullptr) tracer_->attr(id_, key, value);
   }
-
-  /// The underlying span id (kNoSpan when tracing is disabled) — pass it as
-  /// the explicit parent of spans opened on other threads.
-  SpanId id() const noexcept { return id_; }
 
   /// Ends the span now (idempotent; the destructor becomes a no-op).
   void close() {

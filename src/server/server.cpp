@@ -49,7 +49,6 @@ QueryServer::QueryServer(QueryEngine& engine, obs::MetricsRegistry& metrics,
   if (config_.cacheCapacity > 0) {
     ResultCacheConfig cacheConfig;
     cacheConfig.capacity = config_.cacheCapacity;
-    cacheConfig.shards = std::max<std::size_t>(config_.cacheShards, 1);
     cache_ = std::make_unique<ResultCache>(cacheConfig, &metrics_);
     engine_.setResultCache(cache_.get());
   } else {

@@ -56,7 +56,6 @@ struct ServerConfig {
   /// cache is keyed by dataset version, so Sec. 5.4 maintenance retires
   /// stale answers automatically.
   std::size_t cacheCapacity = 256;
-  std::size_t cacheShards = 8;  ///< lock shards for the result cache
   /// Shared-work batching applied to every threshold query the server runs
   /// (disabled by default; dsudd's --batch-window-ms turns it on).
   BatchingOptions batching;

@@ -33,7 +33,7 @@ void expectSameAnswer(const QueryResult& got, const QueryResult& want) {
   for (std::size_t i = 0; i < got.skyline.size(); ++i) {
     EXPECT_EQ(got.skyline[i].tuple.id, want.skyline[i].tuple.id) << "rank " << i;
     // Bit-for-bit: survival factors reduce in site order regardless of how
-    // many sessions (or broadcast workers) ran at the same time.
+    // many sessions ran at the same time.
     EXPECT_EQ(got.skyline[i].globalSkyProb, want.skyline[i].globalSkyProb)
         << "rank " << i;
   }
@@ -158,8 +158,8 @@ TEST(ConcurrentQueriesTest, ThreadsHammeringOneClusterSeeNoBleed) {
 }
 
 TEST(ConcurrentQueriesTest, PerQueryOptionsStayPerQuery) {
-  // One session traces and fans its broadcasts out over 4 workers, the
-  // other runs silent and sequential — concurrently, over the same sites.
+  // One session traces, the other runs silent — concurrently, over the
+  // same sites.
   const Dataset global = generateSynthetic(
       SyntheticSpec{1200, 3, ValueDistribution::kIndependent, 2220});
   InProcCluster shared(Topology::uniform(global, 6, 2221));
@@ -167,7 +167,6 @@ TEST(ConcurrentQueriesTest, PerQueryOptionsStayPerQuery) {
 
   QueryConfig config;
   QueryOptions traced;
-  traced.broadcastThreads = 4;
   QueryOptions silent;
   silent.traceCapacity = 0;
 

@@ -113,13 +113,6 @@ TEST(FailureTest, DeathMidQuerySurfacesFromEveryAlgorithm) {
   EXPECT_FALSE(result.skyline.empty());
 }
 
-TEST(FailureTest, DeathSurfacesThroughParallelBroadcast) {
-  FailingCluster cluster = makeCluster(6, 2, 8);
-  QueryOptions fanOut;
-  fanOut.broadcastThreads = 3;
-  EXPECT_THROW(cluster.engine->runEdsud(QueryConfig{}, fanOut), NetError);
-}
-
 TEST(FailureTest, HealthyRunAfterRebuildingIsUnaffected) {
   // The failure is per-cluster state; a fresh cluster over the same data
   // answers normally (no global/static state was poisoned).

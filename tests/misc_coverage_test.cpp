@@ -105,22 +105,6 @@ TEST(MiscTest, SessionCallsWithoutPrepareAreSafe) {
   EXPECT_NEAR(site.evaluate(eval).survival, 0.5, 1e-12);
 }
 
-TEST(MiscTest, TopKUnderParallelBroadcastMatchesSequential) {
-  const Dataset global = generateSynthetic(
-      SyntheticSpec{2000, 3, ValueDistribution::kAnticorrelated, 1105});
-  InProcCluster seq(Topology::uniform(global, 8, 1106));
-  InProcCluster par(Topology::uniform(global, 8, 1106));
-  QueryOptions parallel;
-  parallel.broadcastThreads = 4;
-
-  TopKConfig config;
-  config.k = 7;
-  const QueryResult a = seq.engine().runTopK(config);
-  const QueryResult b = par.engine().runTopK(config, parallel);
-  EXPECT_EQ(testutil::idsOf(a.skyline), testutil::idsOf(b.skyline));
-  EXPECT_EQ(a.stats.tuplesShipped, b.stats.tuplesShipped);
-}
-
 TEST(MiscTest, NaiveIsProgressiveToo) {
   const Dataset global = generateSynthetic(
       SyntheticSpec{2000, 2, ValueDistribution::kAnticorrelated, 1107});

@@ -395,6 +395,60 @@ TEST(ObsIntegrationTest, EdsudRunProducesTraceAndMatchingByteCounters) {
   expectValidExposition(obs::metricsToPrometheus(snapshot));
 }
 
+double attrOf(const obs::TraceEvent& e, const std::string& key) {
+  for (const auto& [k, v] : e.attrs) {
+    if (k == key) return v;
+  }
+  ADD_FAILURE() << e.name << " has no attr " << key;
+  return -1.0;
+}
+
+/// A failure-free run's feedback step, span by span: each "broadcast" holds
+/// exactly the m−1 "rpc.evaluate" round trips to the sites other than the
+/// candidate's origin, in ascending site order, and there is one broadcast
+/// span per counted broadcast.
+void expectBroadcastShape(const QueryResult& result, std::size_t m,
+                          const std::string& algo) {
+  const std::vector<obs::TraceEvent>& events = result.trace.events;
+  ASSERT_EQ(result.trace.droppedEvents, 0u) << algo;
+  std::map<obs::SpanId, std::vector<double>> sitesByBroadcast;
+  for (obs::SpanId id = 0; id < events.size(); ++id) {
+    if (events[id].name == "broadcast") sitesByBroadcast[id];
+  }
+  for (const obs::TraceEvent& e : events) {
+    if (e.name != "rpc.evaluate") continue;
+    ASSERT_NE(e.parent, obs::kNoSpan) << algo;
+    ASSERT_EQ(events[e.parent].name, "broadcast") << algo;
+    sitesByBroadcast[e.parent].push_back(attrOf(e, "site"));
+  }
+  EXPECT_EQ(sitesByBroadcast.size(), result.stats.broadcasts) << algo;
+  EXPECT_GT(sitesByBroadcast.size(), 0u) << algo;
+  for (const auto& [id, sites] : sitesByBroadcast) {
+    const double origin = attrOf(events[id], "site");
+    std::vector<double> want;
+    for (std::size_t s = 0; s < m; ++s) {
+      const auto site = static_cast<double>(s);
+      if (site != origin) want.push_back(site);
+    }
+    EXPECT_EQ(sites, want) << algo << " broadcast span " << id;
+  }
+}
+
+TEST(ObsIntegrationTest, EveryEvaluateHangsOffItsBroadcastInSiteOrder) {
+  constexpr std::size_t kSites = 5;
+  const Dataset global = generateSynthetic(
+      SyntheticSpec{800, 3, ValueDistribution::kAnticorrelated, 44});
+  InProcCluster cluster(Topology::uniform(global, kSites, 45));
+  QueryConfig config;
+  config.q = 0.3;
+  TopKConfig topk;
+  topk.k = 7;
+
+  expectBroadcastShape(cluster.engine().runDsud(config), kSites, "dsud");
+  expectBroadcastShape(cluster.engine().runEdsud(config), kSites, "edsud");
+  expectBroadcastShape(cluster.engine().runTopK(topk), kSites, "topk");
+}
+
 TEST(ObsIntegrationTest, GaugesReturnToIdleAndPerSiteCountersMatchUsage) {
   const Dataset global = generateSynthetic(
       SyntheticSpec{700, 3, ValueDistribution::kAnticorrelated, 77});

@@ -1,6 +1,6 @@
 // Cross-site distributed tracing: the NTP-style clock alignment and span
-// merge (obs/merge.hpp), the explicit-parent tracer API it builds on, and
-// the end-to-end pipeline — site-side spans fetched with one kFetchTrace per
+// merge (obs/merge.hpp), the tracer's idempotent snapshot it builds on,
+// and the end-to-end pipeline — site-side spans fetched with one kFetchTrace per
 // site (in-process and over TCP), merged into the coordinator's timeline so
 // every site span lands INSIDE its parent RPC span, exported as
 // Perfetto-loadable JSON — and the slow-query log.
@@ -72,35 +72,7 @@ std::vector<const obs::TraceEvent*> mergeSummaries(
 }
 
 // ---------------------------------------------------------------------------
-// Tracer: explicit-parent spans and idempotent snapshots
-
-TEST(TracerExplicitParentTest, DoesNotBecomeImplicitParent) {
-  obs::Tracer tracer(8);
-  const obs::SpanId a = tracer.begin("a");
-  const obs::SpanId b = tracer.begin("b", a);  // explicit parent
-  const obs::SpanId c = tracer.begin("c");     // implicit parent: still a
-  tracer.end(c);
-  tracer.end(b);
-  tracer.end(a);
-  const obs::QueryTrace trace = tracer.take();
-  ASSERT_EQ(trace.events.size(), 3u);
-  EXPECT_EQ(trace.events[b].parent, a);
-  EXPECT_EQ(trace.events[c].parent, a)
-      << "an explicit-parent span must not join the open-span stack";
-}
-
-TEST(TracerExplicitParentTest, RespectsCapAndNoSpanParent) {
-  obs::Tracer tracer(1);
-  const obs::SpanId a = tracer.begin("a");
-  EXPECT_EQ(tracer.begin("over", a), obs::kNoSpan);  // past the cap
-  tracer.end(a);
-  obs::Tracer unrooted(4);
-  const obs::SpanId flat = unrooted.begin("flat", obs::kNoSpan);
-  unrooted.end(flat);
-  const obs::QueryTrace trace = unrooted.take();
-  ASSERT_EQ(trace.events.size(), 1u);
-  EXPECT_EQ(trace.events[0].parent, obs::kNoSpan);
-}
+// Tracer: idempotent snapshots
 
 TEST(TracerSnapshotTest, CopiesWithoutClearingAndKeepsOpenSpans) {
   obs::Tracer tracer(8);

@@ -120,183 +120,183 @@ void expectGolden(ValueDistribution dist, std::uint64_t seed,
 // broadcasts, skyline changed (0/1).
 
 constexpr const char* kIndependentGolden = R"(
-i 0 73 0 0
+i 0 77 0 0
 d 4 379 5 0
 d 4 379 5 0
 d 4 379 5 0
-i 0 73 0 0
-i 8 714 1 1
-i 0 73 0 0
+i 0 77 0 0
+i 8 718 1 1
+i 0 77 0 0
 d 4 379 5 0
-i 0 73 0 0
+i 0 77 0 0
 d 4 379 5 0
-i 0 73 0 0
-i 0 73 0 0
-d 4 379 5 0
-d 4 379 5 0
-d 4 379 5 0
-i 0 73 0 0
-i 0 73 0 0
-i 0 73 0 0
+i 0 77 0 0
+i 0 77 0 0
 d 4 379 5 0
 d 4 379 5 0
-i 0 73 0 0
-i 0 73 0 0
-i 0 73 0 0
+d 4 379 5 0
+i 0 77 0 0
+i 0 77 0 0
+i 0 77 0 0
 d 4 379 5 0
 d 4 379 5 0
-i 0 73 0 0
+i 0 77 0 0
+i 0 77 0 0
+i 0 77 0 0
+d 4 379 5 0
+d 4 379 5 0
+i 0 77 0 0
 d 9 796 6 1
-i 0 73 0 0
+i 0 77 0 0
 d 4 379 5 0
 d 9 751 6 0
-i 0 73 0 0
-i 0 73 0 0
-i 0 73 0 0
-i 0 73 0 0
-i 0 73 0 0
+i 0 77 0 0
+i 0 77 0 0
+i 0 77 0 0
+i 0 77 0 0
+i 0 77 0 0
 d 4 379 5 0
 d 4 379 5 0
 d 4 379 5 0
 d 4 379 5 0
-i 0 73 0 0
-i 0 73 0 0
-i 0 73 0 0
-i 0 73 0 0
+i 0 77 0 0
+i 0 77 0 0
+i 0 77 0 0
+i 0 77 0 0
 d 4 379 5 0
-i 0 73 0 0
-i 0 73 0 0
+i 0 77 0 0
+i 0 77 0 0
 d 4 379 5 0
-i 0 73 0 0
-i 0 73 0 0
-i 0 73 0 0
-i 0 73 0 0
-i 0 73 0 0
-d 4 379 5 0
-d 4 379 5 0
-i 0 73 0 0
-d 4 379 5 0
-i 0 73 0 0
-i 0 73 0 0
+i 0 77 0 0
+i 0 77 0 0
+i 0 77 0 0
+i 0 77 0 0
+i 0 77 0 0
 d 4 379 5 0
 d 4 379 5 0
+i 0 77 0 0
+d 4 379 5 0
+i 0 77 0 0
+i 0 77 0 0
 d 4 379 5 0
 d 4 379 5 0
-i 0 73 0 0
-d 4 379 5 0
-i 0 73 0 0
-i 0 73 0 0
 d 4 379 5 0
 d 4 379 5 0
-i 0 73 0 0
-i 0 73 0 0
-i 0 73 0 0
-i 0 73 0 0
-i 0 73 0 0
+i 0 77 0 0
 d 4 379 5 0
-i 0 73 0 0
-i 0 73 0 0
-i 0 73 0 0
+i 0 77 0 0
+i 0 77 0 0
 d 4 379 5 0
 d 4 379 5 0
+i 0 77 0 0
+i 0 77 0 0
+i 0 77 0 0
+i 0 77 0 0
+i 0 77 0 0
+d 4 379 5 0
+i 0 77 0 0
+i 0 77 0 0
+i 0 77 0 0
 d 4 379 5 0
 d 4 379 5 0
 d 4 379 5 0
 d 4 379 5 0
 d 4 379 5 0
-i 0 73 0 0
-i 0 73 0 0
-i 0 73 0 0
 d 4 379 5 0
-i 0 73 0 0
 d 4 379 5 0
-i 0 73 0 0
-i 0 73 0 0
+i 0 77 0 0
+i 0 77 0 0
+i 0 77 0 0
 d 4 379 5 0
-i 0 73 0 0
-i 8 722 1 1
-i 0 73 0 0
+i 0 77 0 0
 d 4 379 5 0
-i 0 73 0 0
-i 0 73 0 0
-i 0 73 0 0
+i 0 77 0 0
+i 0 77 0 0
+d 4 379 5 0
+i 0 77 0 0
+i 8 726 1 1
+i 0 77 0 0
+d 4 379 5 0
+i 0 77 0 0
+i 0 77 0 0
+i 0 77 0 0
 )";
 
 constexpr const char* kAnticorrelatedGolden = R"(
-i 0 73 0 0
-i 0 81 0 0
-i 0 73 0 0
-i 0 73 0 0
+i 0 77 0 0
+i 0 85 0 0
+i 0 77 0 0
+i 0 77 0 0
 d 4 379 5 0
-i 0 73 0 0
+i 0 77 0 0
 d 4 379 5 0
 d 28 2237 9 1
 d 4 379 5 0
-i 0 73 0 0
-i 0 73 0 0
-i 0 73 0 0
-i 0 73 0 0
+i 0 77 0 0
+i 0 77 0 0
+i 0 77 0 0
+i 0 77 0 0
 d 4 379 5 0
-i 0 73 0 0
-i 0 73 0 0
-i 0 73 0 0
+i 0 77 0 0
+i 0 77 0 0
+i 0 77 0 0
 d 4 379 5 0
-i 0 73 0 0
-i 0 73 0 0
+i 0 77 0 0
+i 0 77 0 0
 d 4 379 5 0
-i 0 73 0 0
+i 0 77 0 0
 d 4 424 5 1
-i 0 73 0 0
-i 0 73 0 0
+i 0 77 0 0
+i 0 77 0 0
 d 4 379 5 0
 d 4 379 5 0
-i 0 73 0 0
+i 0 77 0 0
 d 4 379 5 0
-i 8 714 1 1
-i 0 73 0 0
-d 4 379 5 0
-d 4 379 5 0
-d 4 379 5 0
-d 4 379 5 0
-d 4 379 5 0
-i 0 73 0 0
-d 4 379 5 0
-d 4 379 5 0
-i 8 767 1 1
-d 4 379 5 0
-d 4 379 5 0
-i 0 73 0 0
-d 4 379 5 0
-i 0 73 0 0
-i 0 73 0 0
+i 8 718 1 1
+i 0 77 0 0
 d 4 379 5 0
 d 4 379 5 0
 d 4 379 5 0
 d 4 379 5 0
-i 0 73 0 0
-i 0 73 0 0
-i 0 73 0 0
+d 4 379 5 0
+i 0 77 0 0
 d 4 379 5 0
 d 4 379 5 0
-i 0 73 0 0
-i 0 73 0 0
-d 4 379 5 0
-i 8 767 1 1
-d 4 379 5 0
-i 0 73 0 0
-i 0 73 0 0
-i 0 73 0 0
-i 0 73 0 0
-i 0 73 0 0
+i 8 771 1 1
 d 4 379 5 0
 d 4 379 5 0
-i 0 73 0 0
+i 0 77 0 0
+d 4 379 5 0
+i 0 77 0 0
+i 0 77 0 0
 d 4 379 5 0
 d 4 379 5 0
 d 4 379 5 0
-i 8 714 1 1
 d 4 379 5 0
-i 0 73 0 0
+i 0 77 0 0
+i 0 77 0 0
+i 0 77 0 0
+d 4 379 5 0
+d 4 379 5 0
+i 0 77 0 0
+i 0 77 0 0
+d 4 379 5 0
+i 8 771 1 1
+d 4 379 5 0
+i 0 77 0 0
+i 0 77 0 0
+i 0 77 0 0
+i 0 77 0 0
+i 0 77 0 0
+d 4 379 5 0
+d 4 379 5 0
+i 0 77 0 0
+d 4 379 5 0
+d 4 379 5 0
+d 4 379 5 0
+i 8 718 1 1
+d 4 379 5 0
+i 0 77 0 0
 d 4 379 5 0
 d 4 379 5 0
 d 4 379 5 0
@@ -307,21 +307,21 @@ d 4 379 5 0
 d 4 379 5 0
 d 18 1493 7 1
 d 4 379 5 0
-i 8 1297 1 1
+i 8 1301 1 1
 d 4 379 5 0
-i 8 987 1 1
+i 8 991 1 1
 d 4 379 5 0
-i 8 979 1 1
-i 0 73 0 0
-i 0 73 0 0
-i 0 73 0 0
-i 8 820 1 1
-i 0 73 0 0
-i 0 73 0 0
-i 8 1085 1 1
-i 0 73 0 0
-i 0 73 0 0
-i 0 73 0 0
+i 8 983 1 1
+i 0 77 0 0
+i 0 77 0 0
+i 0 77 0 0
+i 8 824 1 1
+i 0 77 0 0
+i 0 77 0 0
+i 8 1089 1 1
+i 0 77 0 0
+i 0 77 0 0
+i 0 77 0 0
 d 4 379 5 0
 )";
 

@@ -121,26 +121,36 @@ TEST(UpdatesTest, InsertDominatingEverythingReplacesSkyline) {
 }
 
 TEST(UpdatesTest, IrrelevantInsertCostsNothing) {
-  auto sites = initialSites(73);
-  InProcCluster cluster(Topology::fromPartitions(sites));
-  QueryConfig config;
-  config.q = kQ;
-  SkylineMaintainer maintainer(cluster.coordinator(), config,
-                               MaintenanceStrategy::kIncremental);
-  maintainer.initialize();
-  Mirror mirror(std::move(sites));
-
   // Deep in the dominated region with a tiny probability: the site resolves
-  // it locally with zero network tuples.
-  UpdateEvent e;
-  e.kind = UpdateEvent::Kind::kInsert;
-  e.site = 1;
-  e.tuple = Tuple{100001, {50.0, 50.0}, 0.01};
-  mirror.apply(e);
-  const UpdateStats stats = maintainer.apply(e);
-  EXPECT_EQ(stats.tuplesShipped, 0u);
-  EXPECT_FALSE(stats.skylineChanged);
-  expectSkylineMatchesTruth(maintainer, mirror, kQ, "irrelevant insert");
+  // it locally with zero network tuples — on a subspace too, where the site
+  // computes the masked bounds itself.
+  struct Case {
+    const char* name;
+    std::size_t dims;
+    DimMask mask;
+  };
+  for (const Case& c : {Case{"full space, d=2", 2, kAllDims},
+                        Case{"mask 0b011, d=3", 3, 0b011}}) {
+    auto sites = initialSites(73, 400, 4, c.dims);
+    InProcCluster cluster(Topology::fromPartitions(sites));
+    QueryConfig config;
+    config.q = kQ;
+    config.mask = c.mask;
+    SkylineMaintainer maintainer(cluster.coordinator(), config,
+                                 MaintenanceStrategy::kIncremental);
+    maintainer.initialize();
+    Mirror mirror(std::move(sites));
+
+    UpdateEvent e;
+    e.kind = UpdateEvent::Kind::kInsert;
+    e.site = 1;
+    e.tuple = Tuple{100001, std::vector<double>(c.dims, 50.0), 0.01};
+    mirror.apply(e);
+    const UpdateStats stats = maintainer.apply(e);
+    EXPECT_EQ(stats.tuplesShipped, 0u) << c.name;
+    EXPECT_FALSE(stats.skylineChanged) << c.name;
+    expectSkylineMatchesTruth(maintainer, mirror, kQ, c.name, c.mask);
+  }
 }
 
 TEST(UpdatesTest, DeleteOfSkylineMemberPromotesSuccessors) {
