@@ -1,9 +1,7 @@
 // Minimal fixed-size thread pool.
 //
-// Used by the coordinator's parallel feedback broadcast: the m−1 evaluate
-// RPCs of one Server-Delivery phase are independent (each touches one site),
-// so they can run concurrently; results are still reduced in site order so
-// every query stays bit-for-bit deterministic.
+// Used by QueryServer's workers: each admitted query runs to completion on
+// one pool thread through the synchronous QueryEngine::run.
 #pragma once
 
 #include <condition_variable>

@@ -2,14 +2,20 @@
 // layer).
 //
 // N concurrent queries over one cluster used to mean N independent PR-tree
-// descents even when they differed only by threshold.  submitBatched parks
-// a query for a short batching window (QueryOptions::batching); compatible
-// queries arriving inside the window — same algorithm, effective mask,
-// constraint window, prune/bound/expunge knobs, and fault handling; ANY
-// thresholds q1 <= q2 <= ... — merge into one group.  The group runs as a
-// single engine session (the "leader") at the loosest threshold min(q_i),
-// and each member's answer is split back out coordinator-side by filtering
-// the shared answer stream to globalSkyProb >= q_i.
+// descents even when they differed only by threshold.  A QueryEngine::run
+// with QueryOptions::batching enabled joins a group for a short batching
+// window; compatible queries arriving inside the window — same algorithm,
+// effective mask, constraint window, prune/bound/expunge knobs, and fault
+// handling; ANY thresholds q1 <= q2 <= ... — merge into it.  The group runs
+// as a single engine session at the loosest threshold min(q_i), and each
+// member's answer is split back out coordinator-side by filtering the
+// shared answer stream to globalSkyProb >= q_i.
+//
+// The executor owns no thread.  The caller that opens a group leads it: it
+// waits until the window expires or the group holds maxMerge members, then
+// runs the shared descent on its own thread and resolves every member.
+// Followers block inside their own run call until the leader resolves
+// them, so a group exists only while its leader is inside run.
 //
 // Why the split is exact: for share-eligible configurations (see
 // shareEligible in query_engine.hpp) the emission order is q-invariant and
@@ -25,37 +31,33 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <list>
+#include <future>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
-#include "core/query_engine.hpp"
+#include "core/result.hpp"
 #include "obs/metrics.hpp"
 
 namespace dsud {
 
-/// One engine's batching window.  Created lazily by
-/// QueryEngine::submitBatched; owns a timer thread that flushes due groups
-/// onto the engine's pool.  Thread-safe.
+class QueryEngine;
+
+/// One engine's batching window.  Thread-safe.
 class BatchExecutor {
  public:
   /// `metrics` may be null.  The merge counters are registered up front so
   /// they expose as zero series from the first scrape.
   BatchExecutor(QueryEngine& engine, obs::MetricsRegistry* metrics);
 
-  /// Flushes every pending group inline, then joins the timer thread.
-  /// Outstanding tickets complete before destruction returns.
-  ~BatchExecutor();
-
   BatchExecutor(const BatchExecutor&) = delete;
   BatchExecutor& operator=(const BatchExecutor&) = delete;
 
-  /// Joins (or opens) a group for this query and returns its ticket.  The
-  /// group flushes when its window expires or it reaches maxMerge members.
-  QueryTicket submit(Algo algo, QueryConfig config, QueryOptions options,
-                     QueryId id);
+  /// Joins (or opens and leads) a group for this query and blocks until its
+  /// answer is ready.  The group runs when its window expires or it reaches
+  /// maxMerge members; with a zero window its leader runs at once.
+  QueryResult run(Algo algo, const QueryConfig& config,
+                  const QueryOptions& options, QueryId id);
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -72,22 +74,17 @@ class BatchExecutor {
     Algo algo = Algo::kEdsud;
     QueryConfig config;    ///< first member's; q is rewritten at flush
     QueryOptions options;  ///< leader template (fault, tracing)
-    Clock::time_point deadline;
     std::size_t maxMerge = 64;
     std::vector<Member> members;
+    std::condition_variable full;  ///< wakes the leader at maxMerge
   };
 
   bool compatible(const Group& group, Algo algo, const QueryConfig& config,
                   const QueryOptions& options) const;
-  void timerLoop();
-  /// Counts the flush and hands the group to the engine pool (or runs it on
-  /// the calling thread when `inlineRun`, the destructor's path).  Never
-  /// holds the executor mutex.
-  void launchFlush(std::shared_ptr<Group> group, bool inlineRun = false);
-  /// Leader run + per-member split.  Static on purpose: flush tasks queued
-  /// on the engine pool must not touch executor state that may be tearing
-  /// down.
-  static void runGroup(QueryEngine& engine, Group& group);
+  /// Counts the flush, runs the shared descent and resolves every member:
+  /// cancelled members with QueryCancelled, errors fanned out to all.
+  /// Runs on the leader's thread without the executor mutex.
+  void runGroup(Group& group);
 
   QueryEngine* engine_;
   obs::Counter* merged_ = nullptr;    ///< members beyond the first, per flush
@@ -95,10 +92,8 @@ class BatchExecutor {
   obs::Histogram* width_ = nullptr;   ///< members per flushed group
 
   std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stopping_ = false;
-  std::list<std::shared_ptr<Group>> pending_;
-  std::thread timer_;
+  /// Groups still taking members; each lives on its leader's stack.
+  std::vector<Group*> open_;
 };
 
 }  // namespace dsud

@@ -58,12 +58,6 @@ void LocalSite::flushTreeMetricsLocked() {
   flushedAccesses_ = now;
 }
 
-void LocalSite::setMaintenanceTrace(std::size_t maxEvents) {
-  std::lock_guard lock(mutex_);
-  maintTracer_ = maxEvents > 0 ? std::make_unique<obs::Tracer>(maxEvents)
-                               : nullptr;
-}
-
 PrepareResponse LocalSite::prepare(const PrepareRequest& request) {
   if (!(request.q > 0.0) || request.q > 1.0) {
     throw std::invalid_argument("LocalSite::prepare: q must be in (0, 1]");
@@ -231,10 +225,6 @@ FetchTraceResponse LocalSite::fetchTrace(
     const FetchTraceRequest& request) const {
   std::lock_guard lock(mutex_);
   FetchTraceResponse response;
-  if (request.query == kNoQuery) {
-    if (maintTracer_ != nullptr) response.trace = maintTracer_->snapshot();
-    return response;
-  }
   const auto it = sessions_.find(request.query);
   if (it != sessions_.end() && it->second.tracer) {
     response.trace = it->second.tracer->snapshot();
@@ -328,7 +318,6 @@ double LocalSite::replicaExternalSurvivalLocked(std::span<const double> v,
 
 ApplyInsertResponse LocalSite::applyInsert(const ApplyInsertRequest& request) {
   std::lock_guard lock(mutex_);
-  obs::TraceSpan span = siteSpan(maintTracer_.get(), "site.insert");
   const Tuple& t = request.tuple;
   tree_.insert(t);
   ++datasetVersion_;
@@ -344,8 +333,6 @@ ApplyInsertResponse LocalSite::applyInsert(const ApplyInsertRequest& request) {
       response.dominatedReplica.push_back(r.entry.tuple.id);
     }
   }
-  span.attr("dominated_replica",
-            static_cast<double>(response.dominatedReplica.size()));
   return response;
 }
 
@@ -354,7 +341,6 @@ ApplyDeleteResponse LocalSite::applyDelete(const ApplyDeleteRequest& request) {
     throw std::invalid_argument("LocalSite::applyDelete: bad dimensionality");
   }
   std::lock_guard lock(mutex_);
-  obs::TraceSpan span = siteSpan(maintTracer_.get(), "site.delete");
   ApplyDeleteResponse response;
   // Recover the probability before erasing (needed by the coordinator to
   // rescale cached global probabilities).
@@ -373,7 +359,6 @@ ApplyDeleteResponse LocalSite::applyDelete(const ApplyDeleteRequest& request) {
     if (response.existed) ++datasetVersion_;
   }
   response.datasetVersion = datasetVersion_;
-  span.attr("existed", response.existed ? 1.0 : 0.0);
   return response;
 }
 
@@ -388,8 +373,6 @@ RepairDeleteResponse LocalSite::repairDelete(
     throw std::invalid_argument("LocalSite::repairDelete: bad dimensionality");
   }
   std::lock_guard lock(mutex_);
-  obs::TraceSpan span = siteSpan(maintTracer_.get(), "site.repair");
-  const std::uint64_t nodesBefore = tree_.nodeAccesses();
   RepairDeleteResponse response;
   const Tuple& deleted = request.deleted;
   const double q = request.q;
@@ -418,8 +401,6 @@ RepairDeleteResponse LocalSite::repairDelete(
         response.candidates.push_back(std::move(c));
         return true;
       });
-  span.attr("nodes", static_cast<double>(tree_.nodeAccesses() - nodesBefore));
-  span.attr("candidates", static_cast<double>(response.candidates.size()));
   return response;
 }
 
@@ -428,27 +409,22 @@ void LocalSite::replicaAdd(const ReplicaAddRequest& request) {
     throw std::invalid_argument("LocalSite::replicaAdd: bad dimensionality");
   }
   std::lock_guard lock(mutex_);
-  obs::TraceSpan span = siteSpan(maintTracer_.get(), "site.replica_add");
   // Replace a stale copy if present (re-confirmation after updates).
   for (ReplicaEntry& r : replica_) {
     if (r.entry.tuple.id == request.entry.tuple.id) {
       r.entry = request.entry;
       r.globalSkyProb = request.globalSkyProb;
-      span.attr("replica", static_cast<double>(replica_.size()));
       return;
     }
   }
   replica_.push_back(ReplicaEntry{request.entry, request.globalSkyProb});
-  span.attr("replica", static_cast<double>(replica_.size()));
 }
 
 void LocalSite::replicaRemove(const ReplicaRemoveRequest& request) {
   std::lock_guard lock(mutex_);
-  obs::TraceSpan span = siteSpan(maintTracer_.get(), "site.replica_remove");
   std::erase_if(replica_, [&](const ReplicaEntry& r) {
     return r.entry.tuple.id == request.id;
   });
-  span.attr("replica", static_cast<double>(replica_.size()));
 }
 
 // ---------------------------------------------------------------------------

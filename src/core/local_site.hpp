@@ -63,12 +63,6 @@ class LocalSite {
   /// protocol calls.
   void setMetrics(obs::MetricsRegistry* registry);
 
-  /// Enables a site-level tracer (capped at `maxEvents` spans; 0 disables)
-  /// for session-less update-maintenance traffic — applyInsert, applyDelete,
-  /// repairDelete, replica ops.  Fetchable with kFetchTrace{query == 0}.
-  /// Wiring-time only: must not race with protocol calls.
-  void setMaintenanceTrace(std::size_t maxEvents);
-
   // --- Query protocol ------------------------------------------------------
 
   /// Local computing phase (framework step 1): computes SKY(D_i) = {t :
@@ -93,9 +87,9 @@ class LocalSite {
   /// Drops the session state of one query (idempotent).
   void finishQuery(const FinishQueryRequest& request);
 
-  /// Snapshot of one session's span timeline (or of the maintenance
-  /// timeline for query == kNoQuery).  Non-clearing, so a retried fetch is
-  /// idempotent; spans are released by finishQuery with the session.
+  /// Snapshot of one session's span timeline (empty for an unknown or
+  /// untraced session).  Non-clearing, so a retried fetch is idempotent;
+  /// spans are released by finishQuery with the session.
   FetchTraceResponse fetchTrace(const FetchTraceRequest& request) const;
 
   // --- Elastic membership (online join / leave) ----------------------------
@@ -201,7 +195,6 @@ class LocalSite {
   std::unordered_map<QueryId, Session> sessions_;
   std::vector<ReplicaEntry> replica_;
   std::uint64_t datasetVersion_ = 0;  // mutations applied to tree_
-  std::unique_ptr<obs::Tracer> maintTracer_;  // session-less maintenance ops
 
   // Observability (null when no registry is attached).
   obs::Counter* nodeAccesses_ = nullptr;

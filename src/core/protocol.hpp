@@ -249,7 +249,7 @@ struct ShipAllResponse {
 /// Pulls one session's site-side span timeline.  The read is a snapshot —
 /// it does not clear the site tracer — so a retried fetch is idempotent;
 /// kFinishQuery releases the tracer with the rest of the session state.
-/// `query == kNoQuery` fetches the site-level maintenance timeline instead.
+/// An unknown or untraced session answers with an empty trace.
 struct FetchTraceRequest {
   QueryId query = kNoQuery;
 

@@ -1,12 +1,9 @@
 #include "core/query_engine.hpp"
 
-#include <algorithm>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "common/stopwatch.hpp"
-#include "core/batch.hpp"
 #include "core/result_cache.hpp"
 #include "obs/log.hpp"
 
@@ -29,29 +26,27 @@ bool shareEligible(Algo algo, const QueryConfig& config) noexcept {
   return true;
 }
 
-QueryEngine::QueryEngine(Coordinator& coordinator, std::size_t workers)
-    : coord_(&coordinator), workers_(workers) {}
-
-QueryEngine::~QueryEngine() = default;
+QueryEngine::QueryEngine(Coordinator& coordinator)
+    : coord_(&coordinator), batch_(*this, coordinator.metrics()) {}
 
 QueryResult QueryEngine::run(Algo algo, const QueryConfig& config,
                              const QueryOptions& options) {
-  return dispatch(algo, config, options, coord_->nextQueryId());
+  return run(algo, config, options, coord_->nextQueryId());
 }
 
 QueryResult QueryEngine::runNaive(const QueryConfig& config,
                                   const QueryOptions& options) {
-  return dispatch(Algo::kNaive, config, options, coord_->nextQueryId());
+  return run(Algo::kNaive, config, options, coord_->nextQueryId());
 }
 
 QueryResult QueryEngine::runDsud(const QueryConfig& config,
                                  const QueryOptions& options) {
-  return dispatch(Algo::kDsud, config, options, coord_->nextQueryId());
+  return run(Algo::kDsud, config, options, coord_->nextQueryId());
 }
 
 QueryResult QueryEngine::runEdsud(const QueryConfig& config,
                                   const QueryOptions& options) {
-  return dispatch(Algo::kEdsud, config, options, coord_->nextQueryId());
+  return run(Algo::kEdsud, config, options, coord_->nextQueryId());
 }
 
 QueryResult QueryEngine::runTopK(const TopKConfig& config,
@@ -61,6 +56,9 @@ QueryResult QueryEngine::runTopK(const TopKConfig& config,
 
 QueryResult QueryEngine::run(Algo algo, const QueryConfig& config,
                              const QueryOptions& options, QueryId id) {
+  if (options.batching.enabled && shareEligible(algo, config)) {
+    return batch_.run(algo, config, options, id);
+  }
   return dispatch(algo, config, options, id);
 }
 
@@ -155,84 +153,6 @@ QueryResult QueryEngine::fromCache(std::vector<GlobalSkylineEntry> entries,
   result.trace = tracer.take();
   result.stats.seconds = watch.elapsedSeconds();
   return result;
-}
-
-ThreadPool& QueryEngine::pool() {
-  std::lock_guard lock(poolMutex_);
-  if (pool_ == nullptr) {
-    std::size_t workers = workers_;
-    if (workers == 0) {
-      workers = std::min<std::size_t>(
-          std::max<std::size_t>(std::thread::hardware_concurrency(), 1), 8);
-    }
-    pool_ = std::make_unique<ThreadPool>(workers);
-  }
-  return *pool_;
-}
-
-BatchExecutor& QueryEngine::batch() {
-  pool();  // created first so member order tears the executor down first
-  std::lock_guard lock(poolMutex_);
-  if (batch_ == nullptr) {
-    batch_ = std::make_unique<BatchExecutor>(*this, coord_->metrics());
-  }
-  return *batch_;
-}
-
-template <typename Fn>
-QueryTicket QueryEngine::enqueue(QueryId id, Fn task) {
-  inFlight_.fetch_add(1, std::memory_order_relaxed);
-  std::future<QueryResult> future;
-  try {
-    future = pool().submit([this, task = std::move(task)]() mutable {
-      try {
-        QueryResult result = task();
-        inFlight_.fetch_sub(1, std::memory_order_relaxed);
-        return result;
-      } catch (...) {
-        inFlight_.fetch_sub(1, std::memory_order_relaxed);
-        throw;
-      }
-    });
-  } catch (...) {
-    inFlight_.fetch_sub(1, std::memory_order_relaxed);
-    throw;
-  }
-  return QueryTicket(id, std::move(future));
-}
-
-QueryTicket QueryEngine::submit(Algo algo, QueryConfig config,
-                                QueryOptions options) {
-  const QueryId id = coord_->nextQueryId();
-  return enqueue(id, [this, algo, config = std::move(config),
-                      options = std::move(options), id] {
-    return dispatch(algo, config, options, id);
-  });
-}
-
-QueryTicket QueryEngine::submitTopK(TopKConfig config, QueryOptions options) {
-  const QueryId id = coord_->nextQueryId();
-  return enqueue(id, [this, config = std::move(config),
-                      options = std::move(options), id] {
-    return topkImpl(config, options, id);
-  });
-}
-
-QueryTicket QueryEngine::submitBatched(Algo algo, QueryConfig config,
-                                       QueryOptions options) {
-  return submitBatched(algo, std::move(config), std::move(options),
-                       coord_->nextQueryId());
-}
-
-QueryTicket QueryEngine::submitBatched(Algo algo, QueryConfig config,
-                                       QueryOptions options, QueryId id) {
-  if (!options.batching.enabled || !shareEligible(algo, config)) {
-    return enqueue(id, [this, algo, config = std::move(config),
-                        options = std::move(options), id] {
-      return dispatch(algo, config, options, id);
-    });
-  }
-  return batch().submit(algo, std::move(config), std::move(options), id);
 }
 
 }  // namespace dsud

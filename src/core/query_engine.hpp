@@ -9,57 +9,24 @@
 // is bit-for-bit identical to the same query run alone (survival factors
 // reduce in site order; site sessions are keyed by QueryId).
 //
-// Thread-safety contract: all run*/submit* methods may be called
-// concurrently from any thread.  The coordinator must outlive the engine
-// and every outstanding QueryTicket.
+// The engine owns no threads: every run executes on the calling thread.
+// Callers that want concurrency call run* from their own threads (as
+// QueryServer's workers do).  Thread-safety contract: all run* methods may
+// be called concurrently from any thread.  The coordinator must outlive
+// the engine.
 #pragma once
 
-#include <cstddef>
-#include <future>
-#include <memory>
-#include <mutex>
-
-#include "common/thread_pool.hpp"
+#include "core/batch.hpp"
 #include "core/coordinator.hpp"
 #include "core/result.hpp"
 
 namespace dsud {
 
-class BatchExecutor;
 class ResultCache;
-
-/// Handle to one submitted (asynchronous) query.
-class QueryTicket {
- public:
-  QueryTicket() = default;
-
-  /// Session id the engine assigned (known before the query starts).
-  QueryId id() const noexcept { return id_; }
-
-  /// Blocks until the query completes and returns its result (once);
-  /// rethrows any exception the query raised.
-  QueryResult get() { return future_.get(); }
-
-  bool valid() const noexcept { return future_.valid(); }
-  void wait() const { future_.wait(); }
-
- private:
-  friend class QueryEngine;
-  friend class BatchExecutor;
-  QueryTicket(QueryId id, std::future<QueryResult> future)
-      : id_(id), future_(std::move(future)) {}
-
-  QueryId id_ = kNoQuery;
-  std::future<QueryResult> future_;
-};
 
 class QueryEngine {
  public:
-  /// `workers` sizes the pool that executes submitted queries (0 = one
-  /// worker per hardware thread, capped at 8).  The pool is created lazily
-  /// on the first submit; synchronous runs never start it.
-  explicit QueryEngine(Coordinator& coordinator, std::size_t workers = 0);
-  ~QueryEngine();
+  explicit QueryEngine(Coordinator& coordinator);
 
   Coordinator& coordinator() noexcept { return *coord_; }
 
@@ -71,9 +38,14 @@ class QueryEngine {
   void setResultCache(ResultCache* cache) noexcept { cache_ = cache; }
   ResultCache* resultCache() const noexcept { return cache_; }
 
-  // --- Synchronous execution ----------------------------------------------
-
-  /// Runs one threshold query on the calling thread.
+  /// Runs one threshold query on the calling thread.  With
+  /// `options.batching.enabled`, a share-eligible query (see shareEligible)
+  /// first joins or opens a batching group: compatible queries run inside
+  /// one window (same algorithm, subspace, window, and execution knobs —
+  /// any thresholds) merge into ONE site-side descent at the loosest
+  /// threshold, split back out per query (see core/batch.hpp).  Each
+  /// answer is bit-identical to a solo run; stats describe the shared
+  /// descent.  Ineligible queries run solo.
   QueryResult run(Algo algo, const QueryConfig& config,
                   const QueryOptions& options = {});
 
@@ -96,33 +68,6 @@ class QueryEngine {
   QueryResult runTopK(const TopKConfig& config, const QueryOptions& options,
                       QueryId id);
 
-  // --- Asynchronous execution ---------------------------------------------
-
-  /// Enqueues the query on the engine's pool and returns immediately.  The
-  /// config and options are copied into the session, so the caller's may
-  /// go out of scope.
-  QueryTicket submit(Algo algo, QueryConfig config, QueryOptions options = {});
-  QueryTicket submitTopK(TopKConfig config, QueryOptions options = {});
-
-  /// Shared-work submission: when `options.batching.enabled`, compatible
-  /// queries submitted inside one batching window (same algorithm, subspace,
-  /// window, and execution knobs — any thresholds) merge into ONE site-side
-  /// descent at the loosest threshold, split back out per query.  Each
-  /// ticket's answer is bit-identical to a solo run of its query; stats
-  /// describe the shared descent.  Ineligible or unbatched queries fall
-  /// back to the ordinary submit path.  The explicit-id overload serves
-  /// front ends that advertise the session id before execution (dsudd).
-  QueryTicket submitBatched(Algo algo, QueryConfig config,
-                            QueryOptions options = {});
-  QueryTicket submitBatched(Algo algo, QueryConfig config,
-                            QueryOptions options, QueryId id);
-
-  /// Queries currently executing or queued on this engine's pool (batched
-  /// queries count from submission to ticket fulfilment).
-  std::size_t inFlight() const noexcept {
-    return inFlight_.load(std::memory_order_relaxed);
-  }
-
  private:
   friend class BatchExecutor;
 
@@ -136,8 +81,8 @@ class QueryEngine {
                        QueryId id);
 
   /// Cache-aware execution: consult the attached result cache, run the
-  /// algorithm on a miss, store share-eligible answers.  All run/submit
-  /// paths funnel through here.
+  /// algorithm on a miss, store share-eligible answers.  Every threshold
+  /// run (solo or a batch leader's) funnels through here.
   QueryResult dispatch(Algo algo, const QueryConfig& config,
                        const QueryOptions& options, QueryId id);
   /// Raw algorithm switch (no cache).
@@ -148,21 +93,9 @@ class QueryEngine {
   QueryResult fromCache(std::vector<GlobalSkylineEntry> entries,
                         const QueryOptions& options, QueryId id);
 
-  ThreadPool& pool();
-  BatchExecutor& batch();
-
-  template <typename Fn>
-  QueryTicket enqueue(QueryId id, Fn task);
-
   Coordinator* coord_;
-  std::size_t workers_;
   ResultCache* cache_ = nullptr;
-  std::mutex poolMutex_;            // guards lazy pool/batch creation
-  std::unique_ptr<ThreadPool> pool_;
-  std::atomic<std::size_t> inFlight_{0};
-  // After pool_ so it is destroyed first: pending groups flush onto the
-  // pool during the executor's teardown.
-  std::unique_ptr<BatchExecutor> batch_;
+  BatchExecutor batch_;
 };
 
 /// True when answers of a run at a looser threshold can be filtered down to

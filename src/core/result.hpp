@@ -143,17 +143,17 @@ enum class Algo {
   kEdsud,  ///< Sec. 5.2: + global-probability upper bounds and expunging
 };
 
-/// Opt-in shared-work execution (QueryEngine::submitBatched): a submitted
-/// query waits up to `windowSeconds` for compatible queries — same
-/// algorithm, subspace, window, and execution knobs; any thresholds — and
-/// the whole group runs as ONE site-side descent at the loosest threshold,
-/// split back out per query at the coordinator.  Answers are bit-identical
-/// to solo runs; stats describe the shared descent (see docs/ARCHITECTURE
-/// "Shared-work execution & result cache").
+/// Opt-in shared-work execution (QueryEngine::run): the first query of a
+/// group waits up to `windowSeconds` for compatible queries run from other
+/// threads — same algorithm, subspace, window, and execution knobs; any
+/// thresholds — and then leads the whole group as ONE site-side descent at
+/// the loosest threshold, split back out per query at the coordinator.
+/// Answers are bit-identical to solo runs; stats describe the shared
+/// descent (see docs/ARCHITECTURE "Shared-work execution & result cache").
 struct BatchingOptions {
   bool enabled = false;
-  /// How long a submitted query may wait to be merged.  0 still merges
-  /// queries that arrive while a flush is pending but adds no delay.
+  /// How long a group's leader waits for members.  0 runs the leader at
+  /// once: batching then adds no delay.
   double windowSeconds = 0.002;
   /// Flush early once this many queries merged into one group.
   std::size_t maxMerge = 64;
@@ -197,8 +197,8 @@ struct QueryOptions {
   /// emits a `query.slow` event and bumps dsud_slow_queries_total.
   double slowQueryThreshold = 0.0;
 
-  /// Shared-work batching window (QueryEngine::submitBatched only;
-  /// synchronous run* paths ignore it).
+  /// Shared-work batching window for threshold queries (runTopK ignores
+  /// it).
   BatchingOptions batching;
 };
 

@@ -29,11 +29,14 @@ class InProcChannel final : public ClientChannel {
     if (closed_) throw std::logic_error("InProcChannel: channel closed");
     // A synchronous handler cannot be preempted, so the deadline is honoured
     // post-hoc: a handler that overran it fails the call with NetTimeout,
-    // exactly as the reply missing the deadline would over a socket.
-    const auto start = std::chrono::steady_clock::now();
+    // exactly as the reply missing the deadline would over a socket.  The
+    // clock is read only when a deadline is set (it is off by default).
+    using Clock = std::chrono::steady_clock;
+    const auto deadline = this->deadline();
+    const bool timed = deadline.count() > 0;
+    const Clock::time_point start = timed ? Clock::now() : Clock::time_point{};
     Frame response = handler_(request);
-    if (const auto deadline = this->deadline(); deadline.count() > 0 &&
-        std::chrono::steady_clock::now() - start > deadline) {
+    if (timed && Clock::now() - start > deadline) {
       throw NetTimeout("inproc call: deadline exceeded");
     }
     // Loopback has no framing: on-wire bytes are exactly the payloads.

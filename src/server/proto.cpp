@@ -382,8 +382,6 @@ Request decodeRequest(std::string_view line) {
     }
     r.progressive = getBool(doc, "progressive", true);
     r.limit = getUint(doc, "limit", 0, std::numeric_limits<std::uint32_t>::max());
-    r.traceCapacity = static_cast<std::uint32_t>(
-        getUint(doc, "trace_capacity", 0, 1u << 24));
     r.profile = getBool(doc, "profile", false);
     return r;
   }
@@ -412,9 +410,6 @@ std::string encodeRequest(const QueryRequest& request) {
   if (request.degrade) doc.set("on_failure", "degrade");
   if (!request.progressive) doc.set("progressive", false);
   if (request.limit != 0) doc.set("limit", request.limit);
-  if (request.traceCapacity != 0) {
-    doc.set("trace_capacity", request.traceCapacity);
-  }
   if (request.profile) doc.set("profile", true);
   return doc.dump();
 }

@@ -69,7 +69,7 @@ const char* priorityName(Priority p) noexcept;
 
 /// `{"op":"query", ...}` — one skyline / top-k / subspace / constrained
 /// query.  Maps 1:1 onto QueryConfig / TopKConfig + the QueryOptions fault
-/// and trace knobs.
+/// knobs.
 struct QueryRequest {
   std::string id;           ///< client correlation id (required, <= 128 B)
   Algo algo = Algo::kEdsud; ///< ignored when k > 0 (top-k has one algorithm)
@@ -84,7 +84,6 @@ struct QueryRequest {
   bool degrade = false;          ///< on_failure: "degrade" instead of "fail"
   bool progressive = true;       ///< stream `answer` lines as answers emit
   std::uint64_t limit = 0;       ///< cap streamed answers (0 = unlimited)
-  std::uint32_t traceCapacity = 0;  ///< > 0 records a protocol timeline
   /// Attach the EXPLAIN/ANALYZE profile block to the `done` response.  The
   /// profile is collected either way; this only controls the wire — answers
   /// are bit-identical with it on or off.

@@ -41,11 +41,8 @@ QueryServer::QueryServer(QueryEngine& engine, obs::MetricsRegistry& metrics,
        {"query", "ping", "cancel", "stats", "admin", "invalid", "oversized"}) {
     metrics_.counter(obs::labeled("dsud_server_requests_total", {{"op", op}}));
   }
-  // Likewise for the sharing-layer series: the batch executor is created
-  // lazily on the first batched submit, but scrapes must see its counters
-  // (and the cache's) as zero series from the start.
-  metrics_.counter("dsud_batch_merged_total");
-  metrics_.counter("dsud_batch_flushes_total");
+  // Likewise for the result cache's series (the engine registers the
+  // batching series itself).
   if (config_.cacheCapacity > 0) {
     ResultCacheConfig cacheConfig;
     cacheConfig.capacity = config_.cacheCapacity;
@@ -380,16 +377,6 @@ QueryResult QueryServer::executeQuery(const QueryRequest& request,
   config.q = request.q;
   config.mask = request.mask;
   config.window = request.window;
-  if (config_.batching.enabled) {
-    // Park in the batching window so concurrent compatible queries share
-    // one descent.  The ticket blocks this worker exactly like a
-    // synchronous run; answers still stream via options.progress.
-    QueryOptions batched = options;
-    batched.batching = config_.batching;
-    return engine_.submitBatched(request.algo, std::move(config),
-                                 std::move(batched), id)
-        .get();
-  }
   return engine_.run(request.algo, config, options, id);
 }
 
@@ -424,7 +411,10 @@ void QueryServer::runQuery(QueryJob job) {
 
   QueryOptions options;
   options.cancel = job.cancel;
-  options.traceCapacity = job.request.traceCapacity;
+  options.traceCapacity = 0;  // no response carries a trace
+  // With batching on, concurrent compatible threshold queries share one
+  // descent: this worker either leads its group or waits for the leader.
+  options.batching = config_.batching;
   options.fault.deadline = std::chrono::milliseconds(job.request.deadlineMs);
   options.fault.retry.maxAttempts = job.request.retries + 1;
   options.fault.onSiteFailure = job.request.degrade

@@ -33,6 +33,7 @@
 #include <mutex>
 #include <string>
 
+#include "common/thread_pool.hpp"
 #include "core/query_engine.hpp"
 #include "core/topology.hpp"
 #include "core/result_cache.hpp"

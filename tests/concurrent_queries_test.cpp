@@ -2,7 +2,8 @@
 // cluster must each produce bit-for-bit the result of the same query run
 // alone — answers, bandwidth stats, and protocol timelines — with no state
 // bleeding between sessions, and all site/coordinator/gauge state must
-// return to idle once the last ticket is redeemed.
+// return to idle once the last caller returns.  The engine owns no threads:
+// concurrency comes from the callers' own threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +21,8 @@
 
 namespace dsud {
 namespace {
+
+using testutil::runConcurrently;
 
 std::vector<std::string> spanNames(const obs::QueryTrace& trace) {
   std::vector<std::string> names;
@@ -59,7 +62,6 @@ void expectSameRun(const QueryResult& got, const QueryResult& want) {
 }
 
 void expectIdle(InProcCluster& cluster) {
-  EXPECT_EQ(cluster.engine().inFlight(), 0u);
   for (std::size_t i = 0; i < cluster.siteCount(); ++i) {
     EXPECT_EQ(cluster.site(i).sessionCount(), 0u) << "site " << i;
   }
@@ -90,28 +92,28 @@ TEST(ConcurrentQueriesTest, MixedSubmitsMatchSequentialBitForBit) {
   const QueryResult refEdsud5 = reference.engine().runEdsud(q05);
   const QueryResult refTopK = reference.engine().runTopK(topk);
 
-  // Five mixed sessions in flight at once over the shared sites.  A wide
-  // pool guarantees they genuinely overlap even on small machines.
-  QueryEngine engine(shared.coordinator(), 5);
-  QueryTicket tickets[5] = {
-      engine.submit(Algo::kNaive, q03),   engine.submit(Algo::kDsud, q03),
-      engine.submit(Algo::kEdsud, q03),   engine.submit(Algo::kEdsud, q05),
-      engine.submitTopK(topk),
-  };
-
-  // Session ids are allocated up front and unique.
+  // Five mixed sessions in flight at once over the shared sites, one
+  // caller thread each, under ids allocated up front.
+  QueryEngine engine(shared.coordinator());
+  QueryId ids[5];
+  for (QueryId& id : ids) id = engine.coordinator().nextQueryId();
   for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_NE(tickets[i].id(), kNoQuery);
-    for (std::size_t j = i + 1; j < 5; ++j) {
-      EXPECT_NE(tickets[i].id(), tickets[j].id());
-    }
+    EXPECT_NE(ids[i], kNoQuery);
+    for (std::size_t j = i + 1; j < 5; ++j) EXPECT_NE(ids[i], ids[j]);
   }
+  auto got = runConcurrently({
+      [&] { return engine.run(Algo::kNaive, q03, {}, ids[0]); },
+      [&] { return engine.run(Algo::kDsud, q03, {}, ids[1]); },
+      [&] { return engine.run(Algo::kEdsud, q03, {}, ids[2]); },
+      [&] { return engine.run(Algo::kEdsud, q05, {}, ids[3]); },
+      [&] { return engine.runTopK(topk, {}, ids[4]); },
+  });
 
-  const QueryResult naive = tickets[0].get();
-  const QueryResult dsud = tickets[1].get();
-  const QueryResult edsud = tickets[2].get();
-  const QueryResult edsud5 = tickets[3].get();
-  const QueryResult topkResult = tickets[4].get();
+  const QueryResult naive = got[0].get();
+  const QueryResult dsud = got[1].get();
+  const QueryResult edsud = got[2].get();
+  const QueryResult edsud5 = got[3].get();
+  const QueryResult topkResult = got[4].get();
 
   expectSameRun(naive, refNaive);
   expectSameRun(dsud, refDsud);
@@ -120,10 +122,9 @@ TEST(ConcurrentQueriesTest, MixedSubmitsMatchSequentialBitForBit) {
   expectSameRun(topkResult, refTopK);
 
   // Each result is stamped with its own session id.
-  EXPECT_EQ(naive.id, tickets[0].id());
-  EXPECT_EQ(topkResult.id, tickets[4].id());
+  EXPECT_EQ(naive.id, ids[0]);
+  EXPECT_EQ(topkResult.id, ids[4]);
 
-  EXPECT_EQ(engine.inFlight(), 0u);
   expectIdle(shared);
 }
 
@@ -173,10 +174,13 @@ TEST(ConcurrentQueriesTest, PerQueryOptionsStayPerQuery) {
   const QueryResult refA = reference.engine().runEdsud(config, traced);
   const QueryResult refB = reference.engine().runEdsud(config, silent);
 
-  QueryTicket a = shared.engine().submit(Algo::kEdsud, config, traced);
-  QueryTicket b = shared.engine().submit(Algo::kEdsud, config, silent);
-  const QueryResult gotA = a.get();
-  const QueryResult gotB = b.get();
+  QueryEngine& engine = shared.engine();
+  auto got = runConcurrently({
+      [&] { return engine.run(Algo::kEdsud, config, traced); },
+      [&] { return engine.run(Algo::kEdsud, config, silent); },
+  });
+  const QueryResult gotA = got[0].get();
+  const QueryResult gotB = got[1].get();
 
   expectSameRun(gotA, refA);
   expectSameRun(gotB, refB);
@@ -192,10 +196,9 @@ TEST(ConcurrentQueriesTest, OneOfFiveDegradesWhileTheRestStayBitIdentical) {
   const auto siteData = partitionUniform(global, 5, rng);
   const SiteId victim = 2;
 
-  // Query ids are allocated synchronously in submit order starting at 1, so
-  // the third submit below is session 3 — the only traffic chaos touches:
-  // its prepare at the victim succeeds (killAfter = 1), its first pull
-  // there fails for good.
+  // Query ids are allocated in order starting at 1, so the third id below
+  // is session 3 — the only traffic chaos touches: its prepare at the
+  // victim succeeds (killAfter = 1), its first pull there fails for good.
   ClusterConfig chaoticConfig;
   chaoticConfig.chaos =
       ChaosSpec{.killAfter = 1, .onlyQuery = 3, .onlySite = victim};
@@ -217,21 +220,23 @@ TEST(ConcurrentQueriesTest, OneOfFiveDegradesWhileTheRestStayBitIdentical) {
   QueryOptions degrade;
   degrade.fault.onSiteFailure = OnSiteFailure::kDegrade;
 
-  QueryEngine engine(shared.coordinator(), 5);
-  QueryTicket tickets[5] = {
-      engine.submit(Algo::kDsud, config),
-      engine.submit(Algo::kEdsud, config),
-      engine.submit(Algo::kEdsud, config, degrade),  // session 3
-      engine.submit(Algo::kNaive, config),
-      engine.submit(Algo::kDsud, config),
-  };
-  ASSERT_EQ(tickets[2].id(), QueryId{3});
+  QueryEngine engine(shared.coordinator());
+  QueryId ids[5];
+  for (QueryId& id : ids) id = engine.coordinator().nextQueryId();
+  ASSERT_EQ(ids[2], QueryId{3});
+  auto got = runConcurrently({
+      [&] { return engine.run(Algo::kDsud, config, {}, ids[0]); },
+      [&] { return engine.run(Algo::kEdsud, config, {}, ids[1]); },
+      [&] { return engine.run(Algo::kEdsud, config, degrade, ids[2]); },
+      [&] { return engine.run(Algo::kNaive, config, {}, ids[3]); },
+      [&] { return engine.run(Algo::kDsud, config, {}, ids[4]); },
+  });
 
-  const QueryResult dsudA = tickets[0].get();
-  const QueryResult edsud = tickets[1].get();
-  const QueryResult degraded = tickets[2].get();
-  const QueryResult naive = tickets[3].get();
-  const QueryResult dsudB = tickets[4].get();
+  const QueryResult dsudA = got[0].get();
+  const QueryResult edsud = got[1].get();
+  const QueryResult degraded = got[2].get();
+  const QueryResult naive = got[3].get();
+  const QueryResult dsudB = got[4].get();
 
   // The four untouched sessions are indistinguishable from running alone on
   // a healthy cluster — a concurrent session degrading must not bleed.
@@ -261,7 +266,6 @@ TEST(ConcurrentQueriesTest, OneOfFiveDegradesWhileTheRestStayBitIdentical) {
   // Everything drains except the victim's session-3 state: finish() skips
   // dead sites by design (their retry budget was already spent), so the
   // site-side session is only reclaimed when the site rejoins.
-  EXPECT_EQ(engine.inFlight(), 0u);
   for (std::size_t i = 0; i < shared.siteCount(); ++i) {
     EXPECT_EQ(shared.site(i).sessionCount(), i == victim ? 1u : 0u)
         << "site " << i;
@@ -269,9 +273,9 @@ TEST(ConcurrentQueriesTest, OneOfFiveDegradesWhileTheRestStayBitIdentical) {
 }
 
 TEST(ConcurrentQueriesTest, BatchedSubmitsMatchSoloRunsBitForBit) {
-  // The shared-work path (submitBatched) merges a threshold band into one
-  // descent; every member's answer must still be bit-identical to the same
-  // query run alone — content, order, and probabilities.
+  // The shared-work path (run with batching on) merges a threshold band
+  // into one descent; every member's answer must still be bit-identical to
+  // the same query run alone — content, order, and probabilities.
   const Dataset global = generateSynthetic(
       SyntheticSpec{2000, 3, ValueDistribution::kAnticorrelated, 2260});
   InProcCluster shared(Topology::uniform(global, 6, 2261));
@@ -285,24 +289,29 @@ TEST(ConcurrentQueriesTest, BatchedSubmitsMatchSoloRunsBitForBit) {
   const QueryResult ref05 = reference.engine().runEdsud(q05);
   const QueryResult ref07 = reference.engine().runEdsud(q07);
 
+  // The group runs when its third member joins; the long window only
+  // bounds a straggler.
   QueryOptions batching;
   batching.batching.enabled = true;
-  batching.batching.windowSeconds = 0.05;
+  batching.batching.windowSeconds = 30.0;
+  batching.batching.maxMerge = 3;
 
-  QueryEngine engine(shared.coordinator(), 4);
-  QueryTicket t07 = engine.submitBatched(Algo::kEdsud, q07, batching);
-  QueryTicket t03 = engine.submitBatched(Algo::kEdsud, q03, batching);
-  QueryTicket t05 = engine.submitBatched(Algo::kEdsud, q05, batching);
+  QueryEngine engine(shared.coordinator());
+  auto got = runConcurrently({
+      [&] { return engine.run(Algo::kEdsud, q07, batching); },
+      [&] { return engine.run(Algo::kEdsud, q03, batching); },
+      [&] { return engine.run(Algo::kEdsud, q05, batching); },
+  });
 
-  const QueryResult got07 = t07.get();
-  const QueryResult got03 = t03.get();
-  const QueryResult got05 = t05.get();
+  const QueryResult got07 = got[0].get();
+  const QueryResult got03 = got[1].get();
+  const QueryResult got05 = got[2].get();
 
   expectSameAnswer(got03, ref03);
   expectSameAnswer(got05, ref05);
   expectSameAnswer(got07, ref07);
+  EXPECT_EQ(got03.profile.batchWidth, 3u);
 
-  EXPECT_EQ(engine.inFlight(), 0u);
   expectIdle(shared);
 }
 
@@ -315,17 +324,17 @@ TEST(ConcurrentQueriesTest, TransportCountersMatchSummedSessionUsage) {
   InProcCluster shared(Topology::uniform(global, 6, 2251));
 
   QueryConfig config;
-  QueryEngine engine(shared.coordinator(), 4);
-  QueryTicket tickets[4] = {
-      engine.submit(Algo::kDsud, config),
-      engine.submit(Algo::kEdsud, config),
-      engine.submit(Algo::kNaive, config),
-      engine.submit(Algo::kEdsud, config),
-  };
+  QueryEngine engine(shared.coordinator());
+  auto got = runConcurrently({
+      [&] { return engine.run(Algo::kDsud, config); },
+      [&] { return engine.run(Algo::kEdsud, config); },
+      [&] { return engine.run(Algo::kNaive, config); },
+      [&] { return engine.run(Algo::kEdsud, config); },
+  });
   std::uint64_t bytes = 0;
   std::uint64_t roundTrips = 0;
-  for (auto& ticket : tickets) {
-    const QueryResult result = ticket.get();
+  for (auto& outcome : got) {
+    const QueryResult result = outcome.get();
     bytes += result.stats.bytesShipped;
     roundTrips += result.stats.roundTrips;
   }
@@ -363,10 +372,13 @@ TEST(ConcurrentQueriesTest, ProgressCallbacksDoNotCrossSessions) {
     ++callsB;
   };
 
-  QueryTicket a = shared.engine().submit(Algo::kEdsud, config, optionsA);
-  QueryTicket b = shared.engine().submit(Algo::kDsud, config, optionsB);
-  const QueryResult resultA = a.get();
-  const QueryResult resultB = b.get();
+  QueryEngine& engine = shared.engine();
+  auto got = runConcurrently({
+      [&] { return engine.run(Algo::kEdsud, config, optionsA); },
+      [&] { return engine.run(Algo::kDsud, config, optionsB); },
+  });
+  const QueryResult resultA = got[0].get();
+  const QueryResult resultB = got[1].get();
 
   // Each callback fired exactly once per answer of ITS query.
   EXPECT_EQ(callsA.load(), resultA.skyline.size());

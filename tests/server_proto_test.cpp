@@ -99,7 +99,6 @@ TEST(ProtoRequestTest, QueryFullyLoadedRoundTrip) {
   r.degrade = true;
   r.progressive = false;
   r.limit = 10;
-  r.traceCapacity = 4096;
   const Request decoded = decodeRequest(encodeRequest(r));
   ASSERT_TRUE(std::holds_alternative<QueryRequest>(decoded));
   EXPECT_EQ(std::get<QueryRequest>(decoded), r);
@@ -165,6 +164,17 @@ TEST(ProtoRequestTest, UnknownFieldsAreIgnored) {
       R"({"op":"query","id":"q1","future_flag":true,"nested":{"a":[1,2]}})");
   ASSERT_TRUE(std::holds_alternative<QueryRequest>(decoded));
   EXPECT_EQ(std::get<QueryRequest>(decoded).id, "q1");
+}
+
+TEST(ProtoRequestTest, RetiredTraceCapacityFieldIsIgnored) {
+  // Older clients may still send trace_capacity; it decodes to exactly the
+  // request without it.
+  const Request with = decodeRequest(
+      R"({"op":"query","id":"q1","q":0.4,"trace_capacity":4096})");
+  const Request without = decodeRequest(R"({"op":"query","id":"q1","q":0.4})");
+  ASSERT_TRUE(std::holds_alternative<QueryRequest>(with));
+  ASSERT_TRUE(std::holds_alternative<QueryRequest>(without));
+  EXPECT_EQ(std::get<QueryRequest>(with), std::get<QueryRequest>(without));
 }
 
 // ---------------------------------------------------------------------------

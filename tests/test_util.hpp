@@ -1,7 +1,12 @@
 // Shared helpers for the dsud test suites.
 #pragma once
 
+#include <cstddef>
+#include <exception>
+#include <functional>
+#include <future>
 #include <initializer_list>
+#include <thread>
 #include <vector>
 
 #include "common/dataset.hpp"
@@ -55,6 +60,30 @@ inline std::vector<TupleId> idsOf(const std::vector<GlobalSkylineEntry>& v) {
   ids.reserve(v.size());
   for (const auto& e : v) ids.push_back(e.tuple.id);
   return ids;
+}
+
+/// Runs every call on its own thread, as concurrent clients would, and
+/// returns each outcome (result or exception) in call order once all are
+/// done.
+inline std::vector<std::future<QueryResult>> runConcurrently(
+    const std::vector<std::function<QueryResult()>>& calls) {
+  std::vector<std::promise<QueryResult>> outcomes(calls.size());
+  std::vector<std::future<QueryResult>> futures;
+  futures.reserve(calls.size());
+  for (auto& outcome : outcomes) futures.push_back(outcome.get_future());
+  std::vector<std::thread> threads;
+  threads.reserve(calls.size());
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    threads.emplace_back([&calls, &outcomes, i] {
+      try {
+        outcomes[i].set_value(calls[i]());
+      } catch (...) {
+        outcomes[i].set_exception(std::current_exception());
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  return futures;
 }
 
 }  // namespace dsud::testutil
